@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .cnf import CnfFormula, DimacsError, assignment, emit_dimacs, parse_dimacs, restrict
-from .constraints import enumerate_partials, parse_constraint
+from .constraints import parse_constraint
 from .propagate import (
     propagate_fixpoint,
     propagate_staged,
@@ -24,11 +24,11 @@ from .propagate import (
 )
 from .reductions import compose_upac, contra_to_prop, prop_to_contra, render_simulation_map
 from .verify import (
-    Verdict,
     check_stage_correspondence,
     is_upac,
     is_upi,
     render_verdict,
+    sweep,
 )
 
 
@@ -61,38 +61,31 @@ def _write_or_print(formula: CnfFormula, output: str | None) -> bool:
 def _cmd_propagate(args: argparse.Namespace) -> int:
     formula = _read_formula(args.cnf)
     assn = _parse_assign(args.assign)
-    if args.seed:
-        outcome = propagate_fixpoint(formula, assn)
-    else:
-        outcome = propagate_fixpoint(restrict(formula, assn))
+    if not args.seed:
+        formula, assn = restrict(formula, assn), frozenset()
+    outcome = propagate_fixpoint(formula, assn)
     print(render_outcome(outcome))
     return 1 if outcome.conflicted else 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    formula = _read_formula(args.cnf)
-    assn = _parse_assign(args.assign)
     if args.records and not args.staged:
         print("error: --records requires --staged", file=sys.stderr)
         return 2
-    if args.staged:
-        if args.seed:
-            trace = propagate_staged(formula, assn, max_stages=args.max_stages)
-        else:
-            trace = propagate_staged(
-                restrict(formula, assn), max_stages=args.max_stages
-            )
-        if args.records:
-            for record in trace_records(trace):
-                print(f"RECORD {record}")
-        else:
-            print(render_trace(trace))
+    if not args.staged:
+        # a trace only reports, so a conflict still exits 0
+        _cmd_propagate(args)
         return 0
-    if args.seed:
-        outcome = propagate_fixpoint(formula, assn)
+    formula = _read_formula(args.cnf)
+    assn = _parse_assign(args.assign)
+    if not args.seed:
+        formula, assn = restrict(formula, assn), frozenset()
+    trace = propagate_staged(formula, assn, max_stages=args.max_stages)
+    if args.records:
+        for record in trace_records(trace):
+            print(f"RECORD {record}")
     else:
-        outcome = propagate_fixpoint(restrict(formula, assn))
-    print(render_outcome(outcome))
+        print(render_trace(trace))
     return 0
 
 
@@ -165,21 +158,13 @@ def _cmd_verify_hm(args: argparse.Namespace) -> int:
     formula = _read_formula(args.cnf)
     if args.all:
         reduction = contra_to_prop(formula)
-        total = 0
-        for assn in enumerate_partials(formula.variables, args.limit):
-            verdict = check_stage_correspondence(formula, assn, reduction)
-            total += verdict.checked
-            if not verdict.holds:
-                print(
-                    render_verdict(
-                        Verdict(False, total, verdict.counterexample, verdict.note)
-                    )
-                )
-                return 1
-        print(render_verdict(Verdict(True, total)))
-        return 0
-    assn = _parse_assign(args.assign)
-    verdict = check_stage_correspondence(formula, assn)
+        verdict = sweep(
+            formula.variables,
+            lambda I: check_stage_correspondence(formula, I, reduction),
+            args.limit,
+        )
+    else:
+        verdict = check_stage_correspondence(formula, _parse_assign(args.assign))
     print(render_verdict(verdict))
     return 0 if verdict.holds else 1
 

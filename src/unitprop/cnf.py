@@ -40,16 +40,14 @@ def canonical_clause(literals: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_tautological(clause: Iterable[int]) -> bool:
-    """True if the clause contains a complementary literal pair."""
-    lits = set(clause)
-    return any(-lit in lits for lit in lits)
-
-
 def is_contradictory(literals: Iterable[int]) -> bool:
     """True if a literal set binds some variable both ways."""
     lits = set(literals)
     return any(-lit in lits for lit in lits)
+
+
+# A clause is tautological exactly when its literal set is contradictory.
+is_tautological = is_contradictory
 
 
 def assignment(literals: Iterable[int]) -> frozenset[int]:

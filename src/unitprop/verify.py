@@ -3,12 +3,14 @@
 Every checker sweeps partial assignments in the deterministic
 enumeration order and reports the first mismatch as a counterexample.
 Expected values never come from the engine under test: they are brute
-forced from constraints or recomputed on the source formula.
+forced from constraints or recomputed on the source formula.  Sweeps
+seed rather than restrict: the two agree on conflict and on closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .cnf import CnfFormula, restrict
 from .constraints import (
@@ -64,26 +66,44 @@ def _fails(
     )
 
 
+def sweep(
+    variables: Iterable[int],
+    check: Callable[[frozenset[int]], Verdict],
+    limit: int | None = None,
+) -> Verdict:
+    """Run ``check`` on each partial assignment in enumeration order,
+    summing the ``checked`` counts it returns (0 outside its domain).
+    The first failing assignment ends the sweep: its counterexample
+    and note come back with the running total."""
+    total = 0
+    for I in enumerate_partials(variables, limit):
+        verdict = check(I)
+        total += verdict.checked
+        if not verdict.holds:
+            return Verdict(False, total, verdict.counterexample, verdict.note)
+    return Verdict(True, total)
+
+
 def computes_by_contradiction(
     formula: CnfFormula, fn: MatchingFunction, limit: int | None = None
 ) -> Verdict:
-    """Does restricting and propagating conflict exactly where the
+    """Does propagating the assignment conflict exactly where the
     function says yes?"""
-    checked = 0
-    for I in enumerate_partials(fn.variables, limit):
+    def check(I: frozenset[int]) -> Verdict:
         if not fn.in_domain(I):
-            continue
-        checked += 1
+            return Verdict(True, 0)
         expected = bool(fn.evaluate(I))
-        observed = propagate_fixpoint(restrict(formula, I)).conflicted
+        observed = propagate_fixpoint(formula, I).conflicted
         if expected != observed:
             return _fails(
-                checked,
+                1,
                 I,
                 expected="conflict" if expected else "no-conflict",
                 observed="conflict" if observed else "no-conflict",
             )
-    return Verdict(True, checked)
+        return Verdict(True, 1)
+
+    return sweep(fn.variables, check, limit)
 
 
 def computes_by_propagation(
@@ -94,28 +114,28 @@ def computes_by_propagation(
 ) -> Verdict:
     """Does propagation stay conflict-free and infer the output literal
     exactly where the function says yes?"""
-    checked = 0
-    for I in enumerate_partials(fn.variables, limit):
+    def check(I: frozenset[int]) -> Verdict:
         if not fn.in_domain(I):
-            continue
-        checked += 1
-        out = propagate_fixpoint(restrict(formula, I))
+            return Verdict(True, 0)
+        out = propagate_fixpoint(formula, I)
         if out.conflicted:
             return _fails(
-                checked, I, expected="no-conflict", observed="conflict",
+                1, I, expected="no-conflict", observed="conflict",
                 literal=output_lit,
             )
         expected = bool(fn.evaluate(I))
         observed = output_lit in out.final
         if expected != observed:
             return _fails(
-                checked,
+                1,
                 I,
                 expected="inferred" if expected else "absent",
                 observed="inferred" if observed else "absent",
                 literal=output_lit,
             )
-    return Verdict(True, checked)
+        return Verdict(True, 1)
+
+    return sweep(fn.variables, check, limit)
 
 
 def is_upi(
@@ -137,19 +157,17 @@ def is_upac(
     what propagation says about already-bound variables is not
     constrained.
     """
-    checked = 0
-    for I in enumerate_partials(q.variables, limit):
-        checked += 1
-        out = propagate_fixpoint(restrict(formula, I))
+    def check(I: frozenset[int]) -> Verdict:
+        out = propagate_fixpoint(formula, I)
         if falsifies(q, I):
             if not out.conflicted:
                 return _fails(
-                    checked, I, expected="conflict", observed="no-conflict"
+                    1, I, expected="conflict", observed="no-conflict"
                 )
-            continue
+            return Verdict(True, 1)
         if out.conflicted:
             return _fails(
-                checked, I, expected="no-conflict", observed="conflict"
+                1, I, expected="no-conflict", observed="conflict"
             )
         for v in q.variables:
             if v in I or -v in I:
@@ -159,13 +177,15 @@ def is_upac(
                 inferred = lit in out.final
                 if forced != inferred:
                     return _fails(
-                        checked,
+                        1,
                         I,
                         expected="inferred" if forced else "absent",
                         observed="inferred" if inferred else "absent",
                         literal=lit,
                     )
-    return Verdict(True, checked)
+        return Verdict(True, 1)
+
+    return sweep(q.variables, check, limit)
 
 
 def check_stage_correspondence(

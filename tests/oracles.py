@@ -3,12 +3,22 @@
 Deliberately naive: set-based loops and full truth-table scans, sharing
 no code with the library.  If these disagree with the engines, the
 engines are wrong.
+
+The one exception is the restricting sweeps at the end.  Restricting the
+formula by each assignment and then propagating is the definition the
+seeded verifiers must match, so those sweeps call the library's
+``restrict`` and fixpoint engine.  They return ``(holds, checked,
+failure)`` with ``failure`` as ``(assignment, expected, observed,
+literal)`` or None.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+from unitprop.cnf import restrict
+from unitprop.propagate import propagate_fixpoint
 
 
 def naive_unit_closure(
@@ -63,3 +73,83 @@ def scan_forced(
         if sat(full) and literal not in full:
             return False
     return True
+
+
+def ternary_partials(variables: Sequence[int]) -> Iterator[frozenset[int]]:
+    """Every partial assignment, first variable as the fastest digit,
+    digits in the order unbound, positive, negative."""
+    for signs in itertools.product((0, 1, -1), repeat=len(variables)):
+        yield frozenset(s * v for s, v in zip(signs, reversed(variables)) if s)
+
+
+def _word(flag: bool, yes: str, no: str) -> str:
+    return yes if flag else no
+
+
+def restricting_upi(formula, q):
+    """is_upi by restriction: conflict exactly on falsifying assignments."""
+    checked = 0
+    for part in ternary_partials(q.variables):
+        checked += 1
+        expected = scan_falsifies(q.sat, q.variables, part)
+        observed = propagate_fixpoint(restrict(formula, part)).conflicted
+        if expected != observed:
+            return False, checked, (
+                part,
+                _word(expected, "conflict", "no-conflict"),
+                _word(observed, "conflict", "no-conflict"),
+                None,
+            )
+    return True, checked, None
+
+
+def restricting_by_propagation(formula, fn, output_lit: int):
+    """computes_by_propagation by restriction: over the function's
+    domain, no conflict and the output inferred exactly on yes."""
+    checked = 0
+    for part in ternary_partials(fn.variables):
+        if not fn.in_domain(part):
+            continue
+        checked += 1
+        out = propagate_fixpoint(restrict(formula, part))
+        if out.conflicted:
+            return False, checked, (part, "no-conflict", "conflict", output_lit)
+        expected = bool(fn.evaluate(part))
+        observed = output_lit in out.final
+        if expected != observed:
+            return False, checked, (
+                part,
+                _word(expected, "inferred", "absent"),
+                _word(observed, "inferred", "absent"),
+                output_lit,
+            )
+    return True, checked, None
+
+
+def restricting_upac(formula, q):
+    """is_upac by restriction: conflict on every falsifying assignment;
+    elsewhere no conflict and exactly the forced unbound literals."""
+    checked = 0
+    for part in ternary_partials(q.variables):
+        checked += 1
+        out = propagate_fixpoint(restrict(formula, part))
+        if scan_falsifies(q.sat, q.variables, part):
+            if not out.conflicted:
+                return False, checked, (part, "conflict", "no-conflict", None)
+            continue
+        if out.conflicted:
+            return False, checked, (part, "no-conflict", "conflict", None)
+        for v in q.variables:
+            if v in part or -v in part:
+                continue
+            for lit in (v, -v):
+                forced = scan_forced(q.sat, q.variables, part, lit)
+                inferred = lit in out.final
+                if forced != inferred:
+                    return False, checked, (
+                        part,
+                        _word(forced, "inferred", "absent"),
+                        _word(inferred, "inferred", "absent"),
+                        lit,
+                    )
+    return True, checked, None

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from unitprop import cli
 from unitprop.cli import main
 from unitprop.cnf import CnfFormula, emit_dimacs, parse_dimacs
 from unitprop.constraints import pairwise_at_most_one, split_pair_at_most_one
@@ -109,6 +110,23 @@ class TestTrace:
     def test_default_is_the_fixpoint_view(self, example_cnf, capsys):
         assert main(["trace", example_cnf]) == 0
         assert capsys.readouterr().out.startswith("FIXPOINT: 1")
+
+    @pytest.mark.parametrize("extra", [[], ["--seed"]])
+    def test_fixpoint_view_prints_the_propagate_report(
+        self, example_cnf, capsys, monkeypatch, extra
+    ):
+        argv = [example_cnf, "--assign", "-2 4", *extra]
+        assert main(["propagate", *argv]) == 1
+        report = capsys.readouterr().out
+        reads = []
+        real_read = cli._read_formula
+        monkeypatch.setattr(
+            cli, "_read_formula", lambda path: reads.append(path) or real_read(path)
+        )
+        # the same bytes, but a trace that ends in conflict still exits 0
+        assert main(["trace", *argv]) == 0
+        assert capsys.readouterr().out == report
+        assert reads == [example_cnf]
 
 
 class TestReduce:
@@ -235,6 +253,16 @@ class TestErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("command", ["verify-upac", "verify-upi"])
+    def test_constraint_wider_than_the_formula(self, tmp_path, capsys, command):
+        path = tmp_path / "three.cnf"
+        path.write_text("p cnf 3 0\n")
+        table = "table 4 " + "1" * 16
+        assert main([command, str(path), "--constraint", table]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: literal 4 outside universe 1..3\n"
 
     def test_enumeration_guard(self, tmp_path, capsys):
         path = tmp_path / "wide.cnf"

@@ -5,13 +5,17 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import restricting_by_propagation, restricting_upac, restricting_upi
+from unitprop import propagate
 from unitprop.cnf import CnfFormula, assignment, restrict
 from unitprop.constraints import (
+    arc_fn,
     at_most_k,
     enumerate_partials,
     inconsistency_fn,
     pairwise_at_most_one,
     split_pair_at_most_one,
+    truth_table,
 )
 from unitprop.propagate import propagate_fixpoint
 from unitprop.reductions import (
@@ -30,6 +34,7 @@ from unitprop.verify import (
     is_upac,
     is_upi,
     render_verdict,
+    sweep,
 )
 
 EXAMPLE = CnfFormula([(1,), (-1, 2, 3), (-3, -4)], num_vars=4)
@@ -209,6 +214,74 @@ class TestStageCorrespondence:
         assert (cex.literal, cex.stage) == (1, 1)
         assert cex.expected == "present"
         assert cex.observed == "absent"
+
+
+class TestSweep:
+    def test_sums_checks_up_to_the_first_failure(self):
+        source = CnfFormula([(1, 2)], num_vars=2)
+        wrong = contra_to_prop(CnfFormula([(-1, 2)], num_vars=2))
+        verdict = sweep(
+            source.variables,
+            lambda I: check_stage_correspondence(source, I, reduction=wrong),
+        )
+        # {} holds over all 12 stage pairs; {1} fails at its 7th pair
+        assert not verdict.holds
+        assert verdict.checked == 19
+        cex = verdict.counterexample
+        assert cex.assignment == frozenset({1})
+        assert (cex.literal, cex.stage) == (2, 2)
+        assert (cex.expected, cex.observed) == ("absent", "present")
+
+    def test_a_sweep_indexes_its_formula_once(self):
+        comp = compose_upac(pairwise_at_most_one([1, 2, 3]))
+        propagate._occurrences.cache_clear()
+        assert is_upac(comp.formula, AMO3).holds
+        assert propagate._occurrences.cache_info().misses == 1
+
+
+def _outcome(verdict):
+    cex = verdict.counterexample
+    failure = None
+    if cex is not None:
+        failure = (cex.assignment, cex.expected, cex.observed, cex.literal)
+    return verdict.holds, verdict.checked, failure
+
+
+@st.composite
+def formula_and_table(draw):
+    formula = draw(small_formulas(max_vars=4, max_clauses=6))
+    variables = draw(
+        st.lists(
+            st.integers(1, formula.num_vars), unique=True, min_size=1, max_size=3
+        )
+    )
+    width = 2 ** len(variables)
+    bits = draw(st.text("01", min_size=width, max_size=width))
+    return formula, truth_table(variables, bits)
+
+
+class TestSeededSweepsMatchRestriction:
+    @settings(deadline=None, max_examples=150)
+    @given(case=formula_and_table(), data=st.data())
+    def test_same_verdicts_as_the_restricting_sweeps(self, case, data):
+        formula, q = case
+        assert _outcome(is_upi(formula, q)) == restricting_upi(formula, q)
+        assert _outcome(is_upac(formula, q)) == restricting_upac(formula, q)
+        lit = data.draw(st.sampled_from(q.variables)) * data.draw(
+            st.sampled_from([1, -1])
+        )
+        output = data.draw(st.integers(1, formula.num_vars))
+        fn = arc_fn(q, lit)
+        assert _outcome(
+            computes_by_propagation(formula, fn, output)
+        ) == restricting_by_propagation(formula, fn, output)
+
+    def test_split_pair_failure_is_pinned(self):
+        formula = split_pair_at_most_one([1, 2])
+        q = at_most_k(1, [1, 2])
+        pinned = (False, 2, (frozenset({1}), "inferred", "absent", -2))
+        assert restricting_upac(formula, q) == pinned
+        assert _outcome(is_upac(formula, q)) == pinned
 
 
 class TestSizeBound:
