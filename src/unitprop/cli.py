@@ -58,12 +58,18 @@ def _write_or_print(formula: CnfFormula, output: str | None) -> bool:
     return False
 
 
-def _cmd_propagate(args: argparse.Namespace) -> int:
+def _formula_and_seed(args: argparse.Namespace) -> tuple[CnfFormula, frozenset[int]]:
+    """The formula and seed for one engine run: the assignment is appended
+    as unit clauses unless ``--seed`` asks to seed it directly."""
     formula = _read_formula(args.cnf)
     assn = _parse_assign(args.assign)
-    if not args.seed:
-        formula, assn = restrict(formula, assn), frozenset()
-    outcome = propagate_fixpoint(formula, assn)
+    if args.seed:
+        return formula, assn
+    return restrict(formula, assn), frozenset()
+
+
+def _cmd_propagate(args: argparse.Namespace) -> int:
+    outcome = propagate_fixpoint(*_formula_and_seed(args))
     print(render_outcome(outcome))
     return 1 if outcome.conflicted else 0
 
@@ -76,11 +82,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         # a trace only reports, so a conflict still exits 0
         _cmd_propagate(args)
         return 0
-    formula = _read_formula(args.cnf)
-    assn = _parse_assign(args.assign)
-    if not args.seed:
-        formula, assn = restrict(formula, assn), frozenset()
-    trace = propagate_staged(formula, assn, max_stages=args.max_stages)
+    trace = propagate_staged(*_formula_and_seed(args), max_stages=args.max_stages)
     if args.records:
         for record in trace_records(trace):
             print(f"RECORD {record}")
@@ -138,18 +140,10 @@ def _cmd_compose_upac(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_upi(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     formula = _read_formula(args.cnf)
     q = parse_constraint(args.constraint)
-    verdict = is_upi(formula, q, limit=args.limit)
-    print(render_verdict(verdict))
-    return 0 if verdict.holds else 1
-
-
-def _cmd_verify_upac(args: argparse.Namespace) -> int:
-    formula = _read_formula(args.cnf)
-    q = parse_constraint(args.constraint)
-    verdict = is_upac(formula, q, limit=args.limit)
+    verdict = args.checker(formula, q, limit=args.limit)
     print(render_verdict(verdict))
     return 0 if verdict.holds else 1
 
@@ -256,13 +250,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-upi", help="check conflict-exactness against a constraint")
     add_verify_args(p)
-    p.set_defaults(func=_cmd_verify_upi)
+    p.set_defaults(func=_cmd_verify, checker=is_upi)
 
     p = sub.add_parser(
         "verify-upac", help="check conflicts plus forced-literal inference"
     )
     add_verify_args(p)
-    p.set_defaults(func=_cmd_verify_upac)
+    p.set_defaults(func=_cmd_verify, checker=is_upac)
 
     p = sub.add_parser(
         "verify-hm", help="check stage correspondence with the built simulation"

@@ -108,6 +108,12 @@ class CnfFormula:
         return " & ".join(parts)
 
 
+def _check_universe(literals: Iterable[int], formula: CnfFormula) -> None:
+    for lit in literals:
+        if not 1 <= abs(lit) <= formula.num_vars:
+            raise ValueError(f"literal {lit} outside universe 1..{formula.num_vars}")
+
+
 def restrict(formula: CnfFormula, assn: Iterable[int]) -> CnfFormula:
     """Append one unit clause per bound literal, sorted by variable.
 
@@ -116,9 +122,7 @@ def restrict(formula: CnfFormula, assn: Iterable[int]) -> CnfFormula:
     becomes a fresh unit clause at the end.
     """
     assn = assignment(assn)
-    for lit in assn:
-        if not 1 <= abs(lit) <= formula.num_vars:
-            raise ValueError(f"literal {lit} outside universe 1..{formula.num_vars}")
+    _check_universe(assn, formula)
     units = tuple((lit,) for lit in sorted(assn, key=abs))
     return CnfFormula(formula.clauses + units, num_vars=formula.num_vars)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .cnf import CnfFormula, assignment as _mk_assignment, restrict
+from .cnf import CnfFormula, _check_universe, assignment as _mk_assignment, restrict
 
 FIXPOINT = "fixpoint"
 CONFLICT = "conflict"
@@ -74,14 +74,6 @@ class StagedTrace:
 
     def stage_count(self) -> int:
         return len(self.stages)
-
-
-def _check_universe(seed: frozenset[int], formula: CnfFormula) -> None:
-    for lit in seed:
-        if not 1 <= abs(lit) <= formula.num_vars:
-            raise ValueError(
-                f"literal {lit} outside universe 1..{formula.num_vars}"
-            )
 
 
 @lru_cache(maxsize=4096)
@@ -137,17 +129,13 @@ def propagate_fixpoint(
         for idx in occ.get(-lit, ()):
             falsified[idx] += 1
             clause = clauses[idx]
-            rem = len(clause) - falsified[idx]
-            if rem > 1:
+            if len(clause) - falsified[idx] > 1:
                 continue
-            if rem == 0:
-                return outcome(CONFLICT, idx)
             active = next((l for l in clause if -l not in assigned), None)
             if active is None:
                 return outcome(CONFLICT, idx)
-            bad = push(active, idx)
-            if bad is not None:
-                return outcome(CONFLICT, bad)
+            # -active is unassigned, so this push cannot conflict
+            push(active, idx)
 
     return outcome(FIXPOINT)
 
@@ -161,24 +149,23 @@ def propagate_staged(
 
     A literal fires at stage ``m`` when some clause has every *other*
     literal falsified by stage ``m - 1``; a fully falsified clause therefore
-    fires all of its literals.  The run stops when a round adds nothing
-    (``saturated``) or after ``max_stages`` recorded rounds.  ``conflict``
-    reports whether the accumulated set ever binds a variable both ways
-    (stage 0 if the formula contains the empty clause).
+    fires all of its literals.  Round 1 scans the clauses of length at most
+    one and every clause that contains the negation of a seed literal; each
+    later round scans only the clauses that contain the negation of a
+    literal fired in the round before, since no other clause can have
+    changed.  The run stops when a round adds nothing (``saturated``) or
+    after ``max_stages`` recorded rounds.  ``conflict`` reports whether the
+    accumulated set ever binds a variable both ways (stage 0 if the formula
+    contains the empty clause).
     """
     seed = _mk_assignment(assignment)
     _check_universe(seed, formula)
     clauses = formula.clauses
     occ = _occurrences(formula)
-    falsified = [0] * len(clauses)
     known: set[int] = set(seed)
+    touched = {idx for idx, clause in enumerate(clauses) if len(clause) <= 1}
     for lit in seed:
-        for idx in occ.get(-lit, ()):
-            falsified[idx] += 1
-    active = {
-        idx for idx, clause in enumerate(clauses)
-        if len(clause) - falsified[idx] <= 1
-    }
+        touched.update(occ.get(-lit, ()))
 
     conflict = any(not clause for clause in clauses)
     conflict_stage = 0 if conflict else None
@@ -189,18 +176,13 @@ def propagate_staged(
     while max_stages is None or len(stages) < max_stages:
         new: list[tuple[int, int]] = []
         new_set: set[int] = set()
-        for idx in sorted(active):
+        for idx in sorted(touched):
             clause = clauses[idx]
-            rem = len(clause) - falsified[idx]
-            if rem == 1:
-                candidates: Iterable[int] = (
-                    next(l for l in clause if -l not in known),
-                )
-            elif rem == 0:
-                candidates = clause
-            else:
+            live = [l for l in clause if -l not in known]
+            if len(live) > 1:
                 continue
-            for lit in candidates:
+            # one live literal fires alone; a fully falsified clause fires all
+            for lit in live or clause:
                 if lit in known or lit in new_set:
                     continue
                 new_set.add(lit)
@@ -215,11 +197,7 @@ def propagate_staged(
         if conflict_stage is None and any(-lit in known for lit in new_set):
             conflict = True
             conflict_stage = stages[-1].index
-        for lit in new_set:
-            for idx in occ.get(-lit, ()):
-                falsified[idx] += 1
-                if len(clauses[idx]) - falsified[idx] <= 1:
-                    active.add(idx)
+        touched = {idx for lit in new_set for idx in occ.get(-lit, ())}
 
     return StagedTrace(
         initial=seed,

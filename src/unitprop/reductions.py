@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .cnf import CnfFormula
+from .cnf import CnfFormula, _check_universe
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,7 @@ def prop_to_contra(formula: CnfFormula, output_lit: int) -> CnfFormula:
 
     Grows the formula by exactly one clause of one literal.
     """
-    if not 1 <= abs(output_lit) <= formula.num_vars:
-        raise ValueError(
-            f"literal {output_lit} outside universe 1..{formula.num_vars}"
-        )
+    _check_universe((output_lit,), formula)
     return CnfFormula(
         formula.clauses + ((-output_lit,),), num_vars=formula.num_vars
     )

@@ -45,6 +45,48 @@ def naive_unit_closure(
     return False, known
 
 
+def naive_stages(
+    clauses: Sequence[Sequence[int]],
+    seed: Iterable[int] = (),
+    max_stages: int | None = None,
+):
+    """Synchronous staged propagation straight from its definition.
+
+    Every round scans every clause in index order.  A literal fires at
+    stage ``m`` when every *other* literal of its clause is falsified by
+    stage ``m - 1``; a new literal is recorded once, with the lowest
+    clause index that fired it.  An empty clause is a conflict at stage 0.
+
+    Returns ``(stages, conflict, conflict_stage, saturated)`` with
+    ``stages`` a list of ``(inferred, cumulative)`` pairs.
+    """
+    known: set[int] = set(seed)
+    cumulative: set[int] = set()
+    conflict = any(len(clause) == 0 for clause in clauses)
+    conflict_stage = 0 if conflict else None
+    stages: list[tuple[tuple[tuple[int, int], ...], frozenset[int]]] = []
+    while max_stages is None or len(stages) < max_stages:
+        inferred: list[tuple[int, int]] = []
+        fired: set[int] = set()
+        for idx, clause in enumerate(clauses):
+            for pos, lit in enumerate(clause):
+                if lit in known or lit in fired:
+                    continue
+                others = clause[:pos] + clause[pos + 1:]
+                if all(-other in known for other in others):
+                    fired.add(lit)
+                    inferred.append((lit, idx))
+        if not inferred:
+            return stages, conflict, conflict_stage, True
+        known |= fired
+        cumulative |= fired
+        stages.append((tuple(inferred), frozenset(cumulative)))
+        if conflict_stage is None and any(-lit in known for lit in known):
+            conflict = True
+            conflict_stage = len(stages)
+    return stages, conflict, conflict_stage, False
+
+
 def scan_falsifies(
     sat, variables: Sequence[int], bindings: Iterable[int]
 ) -> bool:

@@ -8,7 +8,7 @@ which conflicts: a forces c (b is off), but d forbids c.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_unit_closure
+from oracles import naive_stages, naive_unit_closure
 from unitprop.cnf import CnfFormula, assignment, restrict
 from unitprop.propagate import (
     CONFLICT,
@@ -26,14 +26,14 @@ EXAMPLE = CnfFormula([(1,), (-1, 2, 3), (-3, -4)], num_vars=4)
 EXAMPLE_BINDINGS = assignment([-2, 4])
 
 
-def small_formulas(max_vars=5, max_clauses=8, max_len=4):
+def small_formulas(max_vars=5, max_clauses=8, max_len=4, min_len=1):
     def build(n):
         lit = st.builds(
             lambda sign, v: sign * v,
             st.sampled_from([1, -1]),
             st.integers(1, n),
         )
-        clause = st.lists(lit, min_size=1, max_size=max_len).map(tuple)
+        clause = st.lists(lit, min_size=min_len, max_size=max_len).map(tuple)
         return st.lists(clause, min_size=0, max_size=max_clauses).map(
             lambda cs: CnfFormula(cs, num_vars=n)
         )
@@ -85,6 +85,27 @@ class TestFixpoint:
         assert out.kind == CONFLICT
         assert out.conflict_clause == 0
         assert out.steps == ()
+
+    def test_unit_clause_against_the_seed(self):
+        out = propagate_fixpoint(CnfFormula([(1,)]), assignment=[-1])
+        assert out.kind == CONFLICT
+        assert out.conflict_clause == 0
+        assert out.steps == ((1, 0),)
+
+    def test_clause_falsified_by_queued_seeds(self):
+        out = propagate_fixpoint(CnfFormula([(-1, -2)]), assignment=[1, 2])
+        assert out.kind == CONFLICT
+        assert out.conflict_clause == 0
+        assert out.steps == ()
+
+    def test_clause_falsified_before_its_counter_catches_up(self):
+        # popping 1 makes both clauses look unit; clause 0 pushes 2 first,
+        # so clause 1 finds no live literal although its counter says one
+        f = CnfFormula([(-1, 2), (-1, -2)])
+        out = propagate_fixpoint(f, assignment=[1])
+        assert out.kind == CONFLICT
+        assert out.conflict_clause == 1
+        assert out.steps == ((2, 0),)
 
     def test_seed_outside_universe_rejected(self):
         with pytest.raises(ValueError):
@@ -286,6 +307,23 @@ class TestAgainstNaiveOracle:
         if not out.conflicted:
             final = trace.stages[-1].cumulative if trace.stages else frozenset()
             assert trace.initial | final == out.final
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_staged_trace_matches_the_definition(self, data):
+        formula = data.draw(small_formulas(min_len=0))
+        part = data.draw(partial_assignments(formula))
+        max_stages = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+        trace = propagate_staged(formula, part, max_stages)
+        stages, conflict, conflict_stage, saturated = naive_stages(
+            formula.clauses, part, max_stages
+        )
+        assert trace.initial == part
+        assert [s.index for s in trace.stages] == list(range(1, len(stages) + 1))
+        assert [(s.inferred, s.cumulative) for s in trace.stages] == stages
+        assert trace.conflict == conflict
+        assert trace.conflict_stage == conflict_stage
+        assert trace.saturated == saturated
 
     @settings(deadline=None, max_examples=80)
     @given(formula=small_formulas())
