@@ -68,6 +68,7 @@ class CnfFormula:
     Clauses are canonicalized on construction (duplicate literals dropped).
     When ``num_vars`` is omitted it becomes the largest variable mentioned;
     a declared universe may exceed the variables used but not fall short.
+    The hash is computed once, on construction; equality is by value.
     """
 
     clauses: tuple[tuple[int, ...], ...]
@@ -84,6 +85,10 @@ class CnfFormula:
             )
         object.__setattr__(self, "clauses", canon)
         object.__setattr__(self, "num_vars", int(num_vars))
+        object.__setattr__(self, "_hash", hash((self.clauses, self.num_vars)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def variables(self) -> range:

@@ -76,13 +76,17 @@ class StagedTrace:
         return len(self.stages)
 
 
-@lru_cache(maxsize=4096)
-def _occurrences(formula: CnfFormula) -> Mapping[int, tuple[int, ...]]:
+@lru_cache(maxsize=8)
+def _index(formula: CnfFormula) -> tuple[Mapping[int, tuple[int, ...]], tuple[int, ...]]:
+    """Occurrence lists, and the ascending indices of clauses of length <= 1."""
     occ: dict[int, list[int]] = {}
+    short: list[int] = []
     for idx, clause in enumerate(formula.clauses):
+        if len(clause) <= 1:
+            short.append(idx)
         for lit in clause:
             occ.setdefault(lit, []).append(idx)
-    return {lit: tuple(idxs) for lit, idxs in occ.items()}
+    return {lit: tuple(idxs) for lit, idxs in occ.items()}, tuple(short)
 
 
 def propagate_fixpoint(
@@ -97,7 +101,7 @@ def propagate_fixpoint(
     seed = _mk_assignment(assignment)
     _check_universe(seed, formula)
     clauses = formula.clauses
-    occ = _occurrences(formula)
+    occ, short = _index(formula)
     falsified = [0] * len(clauses)
     assigned: set[int] = set(seed)
     steps: list[tuple[int, int]] = []
@@ -116,13 +120,12 @@ def propagate_fixpoint(
         queue.append(lit)
         return None
 
-    for idx, clause in enumerate(clauses):
-        if not clause:
+    for idx in short:
+        if not clauses[idx]:
             return outcome(CONFLICT, idx)
-        if len(clause) == 1:
-            bad = push(clause[0], idx)
-            if bad is not None:
-                return outcome(CONFLICT, bad)
+        bad = push(clauses[idx][0], idx)
+        if bad is not None:
+            return outcome(CONFLICT, bad)
 
     while queue:
         lit = queue.popleft()
@@ -161,13 +164,13 @@ def propagate_staged(
     seed = _mk_assignment(assignment)
     _check_universe(seed, formula)
     clauses = formula.clauses
-    occ = _occurrences(formula)
+    occ, short = _index(formula)
     known: set[int] = set(seed)
-    touched = {idx for idx, clause in enumerate(clauses) if len(clause) <= 1}
+    touched = set(short)
     for lit in seed:
         touched.update(occ.get(-lit, ()))
 
-    conflict = any(not clause for clause in clauses)
+    conflict = any(not clauses[idx] for idx in short)
     conflict_stage = 0 if conflict else None
     stages: list[StageRecord] = []
     cumulative: set[int] = set()

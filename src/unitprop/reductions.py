@@ -52,14 +52,6 @@ class SimulationMap:
     output_var: int
     aux: Mapping[tuple[int, int], int]
 
-    def aux_var(self, literal: int, level: int) -> int:
-        try:
-            return self.aux[(literal, level)]
-        except KeyError:
-            raise ValueError(
-                f"no auxiliary for literal {literal} at level {level}"
-            ) from None
-
 
 @dataclass(frozen=True)
 class FamilyCounts:

@@ -204,6 +204,11 @@ def check_stage_correspondence(
     round m.
     """
     red = reduction if reduction is not None else contra_to_prop(source)
+    if red.map.source_num_vars != source.num_vars:
+        raise ValueError(
+            f"reduction covers variables 1..{red.map.source_num_vars}, "
+            f"source has 1..{source.num_vars}"
+        )
     t_source = propagate_staged(restrict(source, assn))
     t_sim = propagate_staged(
         red.formula, assignment=assn, max_stages=red.map.levels

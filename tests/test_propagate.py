@@ -5,11 +5,15 @@ The running example is the three-clause formula
 which conflicts: a forces c (b is off), but d forbids c.
 """
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import naive_stages, naive_unit_closure
-from unitprop.cnf import CnfFormula, assignment, restrict
+from unitprop.cnf import CnfFormula, assignment, is_tautological, restrict
+from unitprop.constraints import enumerate_partials
 from unitprop.propagate import (
     CONFLICT,
     FIXPOINT,
@@ -269,7 +273,7 @@ class TestAgainstNaiveOracle:
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())
     def test_both_engines_match_a_textbook_loop(self, data):
-        formula = data.draw(small_formulas())
+        formula = data.draw(small_formulas(min_len=0))
         part = data.draw(partial_assignments(formula))
         restricted = restrict(formula, part)
         conflict, closure = naive_unit_closure(restricted.clauses)
@@ -359,3 +363,50 @@ class TestAgainstNaiveOracle:
             second.final,
             second.steps,
         )
+
+
+# sha256 of every run below, recorded before the engines shared one
+# compiled index; any change to an outcome, its step order or its
+# conflict clause, or to a staged trace, changes it.
+PINNED_RUNS_DIGEST = "4db5b88f330ee068394d9d22409723ddc1f683dd1be7365d8b562fedd00c624e"
+
+
+def _pinned_formulas():
+    rng = random.Random(20261018)
+    formulas = []
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        clauses = [
+            [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 3))]
+            for _ in range(rng.randint(0, 6))
+        ]
+        formulas.append(CnfFormula(clauses, num_vars=n))
+    return formulas
+
+
+def test_seeded_and_restricted_runs_match_the_pinned_digest():
+    formulas = _pinned_formulas()
+    clauses = [c for f in formulas for c in f.clauses]
+    assert any(not c for c in clauses)
+    assert any(len(c) == 1 for c in clauses)
+    assert any(is_tautological(c) for c in clauses)
+    digest = hashlib.sha256()
+    for formula in formulas:
+        for part in enumerate_partials(formula.variables):
+            for f, seed in ((formula, part), (restrict(formula, part), ())):
+                out = propagate_fixpoint(f, seed)
+                trace = propagate_staged(f, seed)
+                # sets are sorted so that the digest pins values, not
+                # set iteration order
+                fixpoint = (
+                    out.kind, sorted(out.final), out.conflict_clause, out.steps
+                )
+                staged = (
+                    sorted(trace.initial),
+                    [(s.index, s.inferred, sorted(s.cumulative)) for s in trace.stages],
+                    trace.conflict,
+                    trace.conflict_stage,
+                    trace.saturated,
+                )
+                digest.update(repr((fixpoint, staged)).encode())
+    assert digest.hexdigest() == PINNED_RUNS_DIGEST

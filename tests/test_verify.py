@@ -1,6 +1,7 @@
 """Exhaustive verdicts: the brute-force checkers and their renderings."""
 
 import dataclasses
+import gc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +216,13 @@ class TestStageCorrespondence:
         assert cex.expected == "present"
         assert cex.observed == "absent"
 
+    @pytest.mark.parametrize("part", [(), (2,)])
+    def test_a_reduction_over_another_universe_is_refused(self, part):
+        narrow = contra_to_prop(CnfFormula([(1,)], num_vars=1))
+        source = CnfFormula([(1,), (2,)], num_vars=2)
+        with pytest.raises(ValueError, match=r"1\.\.1, source has 1\.\.2"):
+            check_stage_correspondence(source, part, reduction=narrow)
+
 
 class TestSweep:
     def test_sums_checks_up_to_the_first_failure(self):
@@ -234,9 +242,26 @@ class TestSweep:
 
     def test_a_sweep_indexes_its_formula_once(self):
         comp = compose_upac(pairwise_at_most_one([1, 2, 3]))
-        propagate._occurrences.cache_clear()
+        propagate._index.cache_clear()
         assert is_upac(comp.formula, AMO3).holds
-        assert propagate._occurrences.cache_info().misses == 1
+        assert propagate._index.cache_info().misses == 1
+
+    def test_a_restricting_sweep_keeps_no_formula_per_assignment(self):
+        reduction = contra_to_prop(EXAMPLE)
+
+        def live_formulas():
+            gc.collect()
+            return sum(isinstance(obj, CnfFormula) for obj in gc.get_objects())
+
+        before = live_formulas()
+        verdict = sweep(
+            EXAMPLE.variables,
+            lambda I: check_stage_correspondence(EXAMPLE, I, reduction=reduction),
+        )
+        assert verdict.holds and verdict.checked == 81 * 40
+        kept = live_formulas() - before
+        # at most one per cached index, and the cache is smaller than the sweep
+        assert kept <= propagate._index.cache_info().maxsize < 81
 
 
 def _outcome(verdict):
