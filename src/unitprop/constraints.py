@@ -3,7 +3,9 @@
 A constraint is a total satisfiability test over complete assignments of
 its variables.  Everything else here is deliberately brute force: the
 oracles exist to validate the propagation engines and encodings, so they
-must not consult them.
+must not consult them.  ``falsifies`` is the definition; the matching
+functions and the sweeps read the same answers from a consistency table
+filled from one ``sat`` call per complete assignment.
 """
 
 from __future__ import annotations
@@ -36,6 +38,15 @@ class Constraint:
     kind: str
     label: str
     sat: Callable[[frozenset[int]], bool] = field(compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if len(set(self.variables)) != len(self.variables) or any(
+            v < 1 for v in self.variables
+        ):
+            raise ValueError(
+                f"constraint variables must be distinct positive integers, "
+                f"got {self.variables}"
+            )
 
     def satisfied_by(self, complete: frozenset[int]) -> bool:
         bound = {abs(lit) for lit in complete}
@@ -122,13 +133,68 @@ def falsifies(q: Constraint, assn: Iterable[int]) -> bool:
     return True
 
 
+def _consistency_table(q: Constraint) -> tuple[dict[int, int], bytearray]:
+    """``falsifies`` in table form, one byte per partial assignment.
+
+    A partial assignment's code is the sum of its literals' weights: with
+    ``variables[j]`` as digit j, a positive literal weighs 3^j and a
+    negative one 2*3^j, so codes follow ``enumerate_partials`` order.
+    ``table[code]`` is 1 iff some complete extension satisfies ``q``.
+    ``q.sat`` runs once per complete assignment; every other code is
+    filled in descending order from the two ways of binding its lowest
+    unbound digit, which have larger codes.
+    """
+    weight: dict[int, int] = {}
+    for j, v in enumerate(q.variables):
+        weight[v] = 3 ** j
+        weight[-v] = 2 * 3 ** j
+    size = 3 ** len(q.variables)
+    table = bytearray(size)
+    for complete in itertools.product(*((v, -v) for v in q.variables)):
+        code = sum(weight[lit] for lit in complete)
+        table[code] = bool(q.sat(frozenset(complete)))
+    for code in range(size - 1, -1, -1):
+        step, rest = 1, code
+        while rest % 3:
+            step *= 3
+            rest //= 3
+        if step < size:
+            table[code] = table[code + step] | table[code + 2 * step]
+    return weight, table
+
+
+def _consistency(q: Constraint) -> Callable[[Iterable[int]], bool]:
+    """``not falsifies(q, assn)``, with the same errors, read from the
+    table built on the first call.  Past the enumeration limit no table
+    of 3^n bytes is built and the definition answers instead."""
+    if len(q.variables) > enumeration_limit():
+        return lambda assn: not falsifies(q, assn)
+    weight: dict[int, int] = {}
+    table = bytearray()
+
+    def consistent(assn: Iterable[int]) -> bool:
+        nonlocal weight, table
+        bindings = _mk_assignment(assn)
+        if not table:
+            weight, table = _consistency_table(q)
+        for lit in bindings:
+            if lit not in weight:
+                raise ValueError(
+                    f"variable {abs(lit)} is not a variable of {q.label}"
+                )
+        return bool(table[sum(weight[lit] for lit in bindings)])
+
+    return consistent
+
+
 def inconsistency_fn(q: Constraint) -> MatchingFunction:
     """The matching function that says yes exactly on assignments
     falsifying ``q``.  Its domain is every partial assignment."""
+    consistent = _consistency(q)
     return MatchingFunction(
         variables=q.variables,
         in_domain=lambda I: True,
-        evaluate=lambda I: falsifies(q, I),
+        evaluate=lambda I: not consistent(I),
         label=f"inconsistency of ({q.label})",
     )
 
@@ -143,17 +209,18 @@ def arc_fn(q: Constraint, literal: int) -> MatchingFunction:
     """
     if abs(literal) not in set(q.variables):
         raise ValueError(f"variable {abs(literal)} is not a variable of {q.label}")
+    consistent = _consistency(q)
 
     def evaluate(I: frozenset[int]) -> bool:
         if literal in I:
             return True
         if -literal in I:
             return False
-        return falsifies(q, I | {-literal})
+        return not consistent(I | {-literal})
 
     return MatchingFunction(
         variables=q.variables,
-        in_domain=lambda I: not falsifies(q, I),
+        in_domain=consistent,
         evaluate=evaluate,
         label=f"arc of ({q.label}) at {literal}",
     )

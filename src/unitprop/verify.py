@@ -2,9 +2,10 @@
 
 Every checker sweeps partial assignments in the deterministic
 enumeration order and reports the first mismatch as a counterexample.
-Expected values never come from the engine under test: they are brute
-forced from constraints or recomputed on the source formula.  Sweeps
-seed rather than restrict: the two agree on conflict and on closure.
+Expected values never come from the engine under test: they are read
+from a constraint's consistency table or recomputed on the source
+formula.  Sweeps seed rather than restrict: the two agree on conflict
+and on closure.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from .cnf import CnfFormula, restrict
 from .constraints import (
     Constraint,
     MatchingFunction,
+    _consistency_table,
     enumerate_partials,
-    falsifies,
+    inconsistency_fn,
 )
 from .propagate import (
     propagate_fixpoint,
@@ -142,8 +144,6 @@ def is_upi(
     formula: CnfFormula, q: Constraint, limit: int | None = None
 ) -> Verdict:
     """Does propagation detect exactly the assignments falsifying q?"""
-    from .constraints import inconsistency_fn
-
     return computes_by_contradiction(formula, inconsistency_fn(q), limit)
 
 
@@ -155,11 +155,20 @@ def is_upac(
 
     Only literals of variables unbound in the assignment are checked;
     what propagation says about already-bound variables is not
-    constrained.
+    constrained.  Expected answers come from ``q``'s consistency table,
+    built on the first check so that the sweep's limit refusal comes
+    first.
     """
+    weight: dict[int, int] = {}
+    table = bytearray()
+
     def check(I: frozenset[int]) -> Verdict:
+        nonlocal weight, table
+        if not table:
+            weight, table = _consistency_table(q)
+        code = sum(weight[lit] for lit in I)
         out = propagate_fixpoint(formula, I)
-        if falsifies(q, I):
+        if not table[code]:
             if not out.conflicted:
                 return _fails(
                     1, I, expected="conflict", observed="no-conflict"
@@ -173,7 +182,7 @@ def is_upac(
             if v in I or -v in I:
                 continue
             for lit in (v, -v):
-                forced = falsifies(q, I | {-lit})
+                forced = not table[code + weight[-lit]]
                 inferred = lit in out.final
                 if forced != inferred:
                     return _fails(

@@ -124,6 +124,26 @@ def ternary_partials(variables: Sequence[int]) -> Iterator[frozenset[int]]:
         yield frozenset(s * v for s, v in zip(signs, reversed(variables)) if s)
 
 
+def table_disagreements(q, weight, table) -> list[tuple[frozenset[int], int | None]]:
+    """Where a consistency table disagrees with the scans, as
+    ``(assignment, literal)`` pairs: literal None when the assignment's
+    own byte is wrong, else the unbound literal whose forcing it misreads.
+    Codes are positions in ``ternary_partials``."""
+    wrong = []
+    for code, part in enumerate(ternary_partials(q.variables)):
+        assert sum(weight[lit] for lit in part) == code
+        if table[code] == scan_falsifies(q.sat, q.variables, part):
+            wrong.append((part, None))
+        for v in q.variables:
+            if v in part or -v in part:
+                continue
+            for lit in (v, -v):
+                forced = not table[code + weight[-lit]]
+                if forced != scan_forced(q.sat, q.variables, part, lit):
+                    wrong.append((part, lit))
+    return wrong
+
+
 def _word(flag: bool, yes: str, no: str) -> str:
     return yes if flag else no
 

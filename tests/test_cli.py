@@ -4,8 +4,10 @@ Exit code convention: 0 for success (fixpoint reached, verdict holds),
 1 for a conflict or a failed verdict, 2 for usage and input errors.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,10 +274,13 @@ class TestErrors:
 
 
 def test_installed_entry_point_runs(example_cnf):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "unitprop", "propagate", example_cnf],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "FIXPOINT: 1"

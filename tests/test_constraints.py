@@ -1,14 +1,17 @@
 """Constraints, matching functions, and the partial-assignment enumerator."""
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import scan_falsifies
+from oracles import scan_falsifies, table_disagreements
 from unitprop.cnf import CnfFormula, emit_dimacs
 from unitprop.constraints import (
     DEFAULT_ENUMERATION_LIMIT,
+    Constraint,
+    _consistency_table,
     arc_fn,
     at_most_k,
     binomial_at_most_k,
@@ -64,6 +67,21 @@ class TestConstraintKinds:
         with pytest.raises(ValueError):
             q.satisfied_by(frozenset({1}))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: at_most_k(1, [1, 1, 2]),
+            lambda: at_most_k(1, [0, 1]),
+            lambda: at_most_k(1, [-1, 2]),
+            lambda: truth_table([1, 1], "0110"),
+            lambda: Constraint((2, 2), "custom", "custom", lambda c: True),
+        ],
+        ids=["duplicate", "zero", "negative", "table-duplicate", "direct"],
+    )
+    def test_duplicate_or_non_positive_variables_rejected(self, build):
+        with pytest.raises(ValueError, match="distinct positive integers"):
+            build()
+
 
 class TestFalsifies:
     def test_too_many_trues_bound(self):
@@ -117,6 +135,71 @@ class TestFalsifies:
             assert falsifies(q, full) == (not q.satisfied_by(full))
 
 
+def _check_table(q):
+    """The consistency table, and the matching functions that read it,
+    agree with ``falsifies`` and with the scans on every assignment."""
+    weight, table = _consistency_table(q)
+    assert len(table) == 3 ** len(q.variables)
+    assert table_disagreements(q, weight, table) == []
+    inconsistency = inconsistency_fn(q)
+    arcs = {lit: arc_fn(q, lit) for v in q.variables for lit in (v, -v)}
+    for part in enumerate_partials(q.variables):
+        falsified = falsifies(q, part)
+        assert inconsistency.evaluate(part) == falsified
+        for lit, arc in arcs.items():
+            assert arc.in_domain(part) == (not falsified)
+            if not falsified and lit not in part and -lit not in part:
+                assert arc.evaluate(part) == falsifies(q, part | {-lit})
+
+
+class TestConsistencyTable:
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_truth_tables_up_to_six_variables(self, data):
+        vs = data.draw(
+            st.lists(st.integers(1, 20), unique=True, max_size=6), label="vars"
+        )
+        bits = data.draw(
+            st.text(alphabet="01", min_size=2 ** len(vs), max_size=2 ** len(vs)),
+            label="bits",
+        )
+        _check_table(truth_table(vs, bits))
+
+    @pytest.mark.parametrize("bits", ["0", "1"])
+    def test_no_variables(self, bits):
+        q = truth_table([], bits)
+        _check_table(q)
+        assert _consistency_table(q) == ({}, bytearray([int(bits)]))
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_cnf_constraints(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        lits = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+        clauses = data.draw(
+            st.lists(st.lists(lits, max_size=3), max_size=5), label="clauses"
+        )
+        _check_table(cnf_constraint(CnfFormula(clauses, num_vars=n)))
+
+    def test_at_most_one_of_three(self):
+        weight, table = _consistency_table(at_most_k(1, [1, 2, 3]))
+        assert weight == {1: 1, -1: 2, 2: 3, -2: 6, 3: 9, -3: 18}
+        assert table.count(0) == 7
+        assert table[weight[1] + weight[2]] == 0
+        assert table[weight[1] + weight[-2]] == 1
+
+    def test_past_the_limit_the_definition_answers(self, monkeypatch):
+        monkeypatch.setenv("UNITPROP_ENUM_LIMIT", "2")
+        amo3 = at_most_k(1, [1, 2, 3])
+        calls = []
+        q = dataclasses.replace(amo3, sat=lambda c: calls.append(c) or amo3.sat(c))
+        f = inconsistency_fn(q)
+        assert f.evaluate(frozenset({1, 2}))
+        assert len(calls) == 2  # the two extensions, not the 8 table rows
+        for part in enumerate_partials(q.variables, limit=3):
+            assert f.evaluate(part) == falsifies(q, part)
+
+
 class TestMatchingFunctions:
     def test_inconsistency_carries_the_constraint_universe(self):
         f = inconsistency_fn(at_most_k(1, [1, 2, 3]))
@@ -145,6 +228,26 @@ class TestMatchingFunctions:
     def test_arc_foreign_literal_rejected(self):
         with pytest.raises(ValueError):
             arc_fn(at_most_k(1, [1, 2]), 3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda q, I: inconsistency_fn(q).evaluate(I),
+            lambda q, I: arc_fn(q, 1).evaluate(I),
+            lambda q, I: arc_fn(q, 1).in_domain(I),
+        ],
+        ids=["inconsistency", "arc-evaluate", "arc-domain"],
+    )
+    def test_errors_match_falsifies(self, call):
+        q = at_most_k(1, [1, 2])
+        with pytest.raises(ValueError) as want:
+            falsifies(q, {3})
+        assert str(want.value) == "variable 3 is not a variable of atmost 1 of 2"
+        with pytest.raises(ValueError) as got:
+            call(q, frozenset({3}))
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="contradictory assignment: both"):
+            call(q, frozenset({2, -2}))
 
     def test_arc_agrees_with_inconsistency_of_the_flipped_literal(self):
         q = at_most_k(1, [1, 2, 3])

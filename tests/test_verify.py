@@ -193,6 +193,25 @@ class TestUpac:
         )
         assert is_upac(mutated, amo2).holds
 
+    def test_sat_runs_once_per_complete_assignment(self):
+        amo5 = at_most_k(1, range(1, 6))
+        calls = []
+
+        def counting_sat(complete):
+            calls.append(complete)
+            return amo5.sat(complete)
+
+        q = dataclasses.replace(amo5, sat=counting_sat)
+        verdict = is_upac(pairwise_at_most_one(range(1, 6)), q)
+        assert verdict.holds and verdict.checked == 3 ** 5
+        assert len(calls) <= 2 ** 5
+
+    def test_a_repeated_variable_is_refused_not_misjudged(self):
+        # with (1, 1, 2) accepted, the sweep reported a false FAILS
+        # checked=1 at the empty assignment, literal -1
+        with pytest.raises(ValueError, match="distinct positive"):
+            is_upac(pairwise_at_most_one([1, 2]), at_most_k(1, [1, 1, 2]))
+
 
 class TestStageCorrespondence:
     def test_example_bindings(self):
