@@ -79,6 +79,8 @@ class CnfFormula:
         used = max((abs(lit) for c in canon for lit in c), default=0)
         if num_vars is None:
             num_vars = used
+        elif num_vars < 0:
+            raise ValueError("num_vars must be nonnegative")
         elif num_vars < used:
             raise ValueError(
                 f"num_vars={num_vars} but variable {used} is used"

@@ -11,7 +11,6 @@ filled from one ``sat`` call per complete assignment.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -19,11 +18,17 @@ from typing import Callable, Iterable, Iterator
 from .cnf import CnfFormula, assignment as _mk_assignment, parse_dimacs
 
 DEFAULT_ENUMERATION_LIMIT = 12
-ENUM_LIMIT_ENV = "UNITPROP_ENUM_LIMIT"
 
 AT_MOST_K = "at_most_k"
 TRUTH_TABLE = "truth_table"
 CNF_SEMANTIC = "cnf_semantic"
+
+
+def _check_variables(vs: tuple[int, ...]) -> None:
+    if len(set(vs)) != len(vs) or any(v < 1 for v in vs):
+        raise ValueError(
+            f"constraint variables must be distinct positive integers, got {vs}"
+        )
 
 
 @dataclass(frozen=True)
@@ -40,13 +45,7 @@ class Constraint:
     sat: Callable[[frozenset[int]], bool] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.variables)) != len(self.variables) or any(
-            v < 1 for v in self.variables
-        ):
-            raise ValueError(
-                f"constraint variables must be distinct positive integers, "
-                f"got {self.variables}"
-            )
+        _check_variables(self.variables)
 
     def satisfied_by(self, complete: frozenset[int]) -> bool:
         bound = {abs(lit) for lit in complete}
@@ -165,9 +164,10 @@ def _consistency_table(q: Constraint) -> tuple[dict[int, int], bytearray]:
 
 def _consistency(q: Constraint) -> Callable[[Iterable[int]], bool]:
     """``not falsifies(q, assn)``, with the same errors, read from the
-    table built on the first call.  Past the enumeration limit no table
-    of 3^n bytes is built and the definition answers instead."""
-    if len(q.variables) > enumeration_limit():
+    table built on the first call.  Past ``DEFAULT_ENUMERATION_LIMIT``
+    variables no table of 3^n bytes is built and the definition answers
+    instead."""
+    if len(q.variables) > DEFAULT_ENUMERATION_LIMIT:
         return lambda assn: not falsifies(q, assn)
     weight: dict[int, int] = {}
     table = bytearray()
@@ -226,47 +226,33 @@ def arc_fn(q: Constraint, literal: int) -> MatchingFunction:
     )
 
 
-def enumeration_limit(limit: int | None = None) -> int:
-    """Resolve the enumeration guard: explicit argument, else the
-    UNITPROP_ENUM_LIMIT environment variable, else the default."""
-    if limit is not None:
-        return limit
-    env = os.environ.get(ENUM_LIMIT_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_ENUMERATION_LIMIT
-
-
 def enumerate_partials(
     variables: Iterable[int], limit: int | None = None
 ) -> Iterator[frozenset[int]]:
     """Yield all 3^n partial assignments in ternary counting order.
 
     ``variables[0]`` is the least significant digit; digit values are
-    unbound, positive, negative in that order.  Refuses when n exceeds
-    the enumeration limit.
+    unbound, positive, negative in that order.  Refuses variables that
+    are not distinct positive integers, and more than ``limit`` of them
+    (``DEFAULT_ENUMERATION_LIMIT`` when None).
     """
     vs = tuple(variables)
-    bound = enumeration_limit(limit)
+    _check_variables(vs)
+    bound = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
     if len(vs) > bound:
         raise ValueError(
             f"refusing to enumerate 3^{len(vs)} partial assignments "
             f"over {len(vs)} variables (limit {bound})"
         )
-    return _ternary_partials(vs)
+    digits = ((0, v, -v) for v in reversed(vs))
+    return (frozenset(filter(None, lits)) for lits in itertools.product(*digits))
 
 
-def _ternary_partials(vs: tuple[int, ...]) -> Iterator[frozenset[int]]:
-    for code in range(3 ** len(vs)):
-        lits = []
-        rest = code
-        for v in vs:
-            rest, digit = divmod(rest, 3)
-            if digit == 1:
-                lits.append(v)
-            elif digit == 2:
-                lits.append(-v)
-        yield frozenset(lits)
+def _universe(count: str) -> range:
+    n = int(count)
+    if n < 0:
+        raise ValueError("variable count must be nonnegative")
+    return range(1, n + 1)
 
 
 def parse_constraint(text: str) -> Constraint:
@@ -282,15 +268,11 @@ def parse_constraint(text: str) -> Constraint:
     if head == "atmost":
         if len(tokens) != 4 or tokens[2] != "of":
             raise ValueError(f"expected 'atmost <k> of <n>', got {text!r}")
-        k, n = int(tokens[1]), int(tokens[3])
-        if n < 0:
-            raise ValueError("variable count must be nonnegative")
-        return at_most_k(k, range(1, n + 1))
+        return at_most_k(int(tokens[1]), _universe(tokens[3]))
     if head == "table":
         if len(tokens) != 3:
             raise ValueError(f"expected 'table <n> <bits>', got {text!r}")
-        n = int(tokens[1])
-        return truth_table(range(1, n + 1), tokens[2])
+        return truth_table(_universe(tokens[1]), tokens[2])
     if head == "cnf":
         if len(tokens) < 2:
             raise ValueError(f"expected 'cnf <path>', got {text!r}")

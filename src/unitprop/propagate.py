@@ -161,6 +161,8 @@ def propagate_staged(
     accumulated set ever binds a variable both ways (stage 0 if the formula
     contains the empty clause).
     """
+    if max_stages is not None and max_stages < 0:
+        raise ValueError("max_stages must be nonnegative")
     seed = _mk_assignment(assignment)
     _check_universe(seed, formula)
     clauses = formula.clauses

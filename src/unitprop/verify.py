@@ -68,6 +68,27 @@ def _fails(
     )
 
 
+# Shared verdicts of one assignment that holds and of one outside the
+# domain, so that a sweep allocates none for the assignments that pass.
+_HOLDS = Verdict(True, 1)
+_OUTSIDE = Verdict(True, 0)
+
+_CONFLICT = ("conflict", "no-conflict")
+_INFERRED = ("inferred", "absent")
+
+
+def _mismatch(
+    I: frozenset[int],
+    words: tuple[str, str],
+    expected: bool,
+    literal: int | None = None,
+) -> Verdict:
+    """The failure of one assignment.  ``words`` names the yes and the no
+    answer; what was observed is the one that was not expected."""
+    want, got = words if expected else words[::-1]
+    return _fails(1, I, want, got, literal)
+
+
 def sweep(
     variables: Iterable[int],
     check: Callable[[frozenset[int]], Verdict],
@@ -93,17 +114,11 @@ def computes_by_contradiction(
     function says yes?"""
     def check(I: frozenset[int]) -> Verdict:
         if not fn.in_domain(I):
-            return Verdict(True, 0)
+            return _OUTSIDE
         expected = bool(fn.evaluate(I))
-        observed = propagate_fixpoint(formula, I).conflicted
-        if expected != observed:
-            return _fails(
-                1,
-                I,
-                expected="conflict" if expected else "no-conflict",
-                observed="conflict" if observed else "no-conflict",
-            )
-        return Verdict(True, 1)
+        if propagate_fixpoint(formula, I).conflicted != expected:
+            return _mismatch(I, _CONFLICT, expected)
+        return _HOLDS
 
     return sweep(fn.variables, check, limit)
 
@@ -118,24 +133,14 @@ def computes_by_propagation(
     exactly where the function says yes?"""
     def check(I: frozenset[int]) -> Verdict:
         if not fn.in_domain(I):
-            return Verdict(True, 0)
+            return _OUTSIDE
         out = propagate_fixpoint(formula, I)
         if out.conflicted:
-            return _fails(
-                1, I, expected="no-conflict", observed="conflict",
-                literal=output_lit,
-            )
+            return _mismatch(I, _CONFLICT, False, output_lit)
         expected = bool(fn.evaluate(I))
-        observed = output_lit in out.final
-        if expected != observed:
-            return _fails(
-                1,
-                I,
-                expected="inferred" if expected else "absent",
-                observed="inferred" if observed else "absent",
-                literal=output_lit,
-            )
-        return Verdict(True, 1)
+        if (output_lit in out.final) != expected:
+            return _mismatch(I, _INFERRED, expected, output_lit)
+        return _HOLDS
 
     return sweep(fn.variables, check, limit)
 
@@ -168,31 +173,19 @@ def is_upac(
             weight, table = _consistency_table(q)
         code = sum(weight[lit] for lit in I)
         out = propagate_fixpoint(formula, I)
-        if not table[code]:
-            if not out.conflicted:
-                return _fails(
-                    1, I, expected="conflict", observed="no-conflict"
-                )
-            return Verdict(True, 1)
-        if out.conflicted:
-            return _fails(
-                1, I, expected="no-conflict", observed="conflict"
-            )
+        falsified = not table[code]
+        if out.conflicted != falsified:
+            return _mismatch(I, _CONFLICT, falsified)
+        if falsified:
+            return _HOLDS
         for v in q.variables:
             if v in I or -v in I:
                 continue
             for lit in (v, -v):
                 forced = not table[code + weight[-lit]]
-                inferred = lit in out.final
-                if forced != inferred:
-                    return _fails(
-                        1,
-                        I,
-                        expected="inferred" if forced else "absent",
-                        observed="inferred" if inferred else "absent",
-                        literal=lit,
-                    )
-        return Verdict(True, 1)
+                if (lit in out.final) != forced:
+                    return _mismatch(I, _INFERRED, forced, lit)
+        return _HOLDS
 
     return sweep(q.variables, check, limit)
 

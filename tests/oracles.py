@@ -165,6 +165,26 @@ def restricting_upi(formula, q):
     return True, checked, None
 
 
+def restricting_by_contradiction(formula, fn):
+    """computes_by_contradiction by restriction: over the function's
+    domain, conflict exactly on yes."""
+    checked = 0
+    for part in ternary_partials(fn.variables):
+        if not fn.in_domain(part):
+            continue
+        checked += 1
+        expected = bool(fn.evaluate(part))
+        observed = propagate_fixpoint(restrict(formula, part)).conflicted
+        if expected != observed:
+            return False, checked, (
+                part,
+                _word(expected, "conflict", "no-conflict"),
+                _word(observed, "conflict", "no-conflict"),
+                None,
+            )
+    return True, checked, None
+
+
 def restricting_by_propagation(formula, fn, output_lit: int):
     """computes_by_propagation by restriction: over the function's
     domain, no conflict and the output inferred exactly on yes."""

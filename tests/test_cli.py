@@ -105,6 +105,13 @@ class TestTrace:
         ) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "TRUNCATED stages=1"
 
+    def test_negative_max_stages_refused(self, example_cnf, capsys):
+        argv = ["trace", example_cnf, "--staged", "--max-stages", "-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_stages must be nonnegative\n"
+
     def test_records_require_staged(self, example_cnf, capsys):
         assert main(["trace", example_cnf, "--records"]) == 2
         assert "--records requires --staged" in capsys.readouterr().err
@@ -252,6 +259,12 @@ class TestErrors:
     def test_bad_constraint_spec(self, amo_cnf, capsys):
         assert main(["verify-upi", amo_cnf, "--constraint", "bogus 1"]) == 2
         assert "unknown constraint form" in capsys.readouterr().err
+
+    def test_negative_constraint_size(self, amo_cnf, capsys):
+        assert main(["verify-upac", amo_cnf, "--constraint", "table -3 1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: variable count must be nonnegative\n"
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -87,6 +87,10 @@ class TestFormula:
         with pytest.raises(ValueError):
             CnfFormula([(1, -3)], num_vars=2)
 
+    def test_declared_universe_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="num_vars must be nonnegative"):
+            CnfFormula([], num_vars=-1)
+
     def test_size_counts_literals(self):
         f = CnfFormula([(1,), (-1, 2, 3), (-3, -4)])
         assert len(f) == 3

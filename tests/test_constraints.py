@@ -2,11 +2,12 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import scan_falsifies, table_disagreements
+from oracles import scan_falsifies, table_disagreements, ternary_partials
 from unitprop.cnf import CnfFormula, emit_dimacs
 from unitprop.constraints import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -17,7 +18,6 @@ from unitprop.constraints import (
     binomial_at_most_k,
     cnf_constraint,
     enumerate_partials,
-    enumeration_limit,
     falsifies,
     inconsistency_fn,
     pairwise_at_most_one,
@@ -188,16 +188,24 @@ class TestConsistencyTable:
         assert table[weight[1] + weight[2]] == 0
         assert table[weight[1] + weight[-2]] == 1
 
-    def test_past_the_limit_the_definition_answers(self, monkeypatch):
-        monkeypatch.setenv("UNITPROP_ENUM_LIMIT", "2")
-        amo3 = at_most_k(1, [1, 2, 3])
+    def test_past_the_limit_the_definition_answers(self):
+        n = DEFAULT_ENUMERATION_LIMIT + 1
+        amo = at_most_k(1, range(1, n + 1))
         calls = []
-        q = dataclasses.replace(amo3, sat=lambda c: calls.append(c) or amo3.sat(c))
+        q = dataclasses.replace(amo, sat=lambda c: calls.append(c) or amo.sat(c))
         f = inconsistency_fn(q)
         assert f.evaluate(frozenset({1, 2}))
-        assert len(calls) == 2  # the two extensions, not the 8 table rows
-        for part in enumerate_partials(q.variables, limit=3):
-            assert f.evaluate(part) == falsifies(q, part)
+        # the 2^(n-2) extensions, not the 2^n rows of a 3^n table
+        assert len(calls) == 2 ** (n - 2)
+        rng = random.Random(20261018)
+        answers = set()
+        for _ in range(100):
+            bound = rng.sample(q.variables, rng.randint(n - 4, n))
+            part = frozenset(v if rng.random() < 1 / n else -v for v in bound)
+            got = f.evaluate(part)
+            answers.add(got)
+            assert got == falsifies(q, part)
+        assert answers == {True, False}
 
 
 class TestMatchingFunctions:
@@ -296,13 +304,15 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_partials([1, 2, 3], limit=2)
 
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv("UNITPROP_ENUM_LIMIT", "2")
-        assert enumeration_limit() == 2
-        with pytest.raises(ValueError):
-            enumerate_partials([1, 2, 3])
-        monkeypatch.delenv("UNITPROP_ENUM_LIMIT")
-        assert enumeration_limit() == DEFAULT_ENUMERATION_LIMIT
+    @pytest.mark.parametrize("n", range(7))
+    def test_order_matches_the_reference_on_unsorted_variables(self, n):
+        vs = (5, 2, 9, 14, 3, 11)[:n]
+        assert list(enumerate_partials(vs)) == list(ternary_partials(vs))
+
+    @pytest.mark.parametrize("variables", [[1, 1], [0], [2, -3]])
+    def test_bad_variable_lists_refused(self, variables):
+        with pytest.raises(ValueError, match="distinct positive integers"):
+            enumerate_partials(variables)
 
 
 class TestParsing:
@@ -330,6 +340,11 @@ class TestParsing:
     )
     def test_malformed_specs_rejected(self, text):
         with pytest.raises(ValueError):
+            parse_constraint(text)
+
+    @pytest.mark.parametrize("text", ["atmost 1 of -3", "table -3 1"])
+    def test_negative_variable_counts_rejected(self, text):
+        with pytest.raises(ValueError, match="variable count must be nonnegative"):
             parse_constraint(text)
 
 

@@ -170,6 +170,10 @@ class TestStaged:
         assert not trace.saturated
         assert not trace.conflict
 
+    def test_negative_max_stages_refused(self):
+        with pytest.raises(ValueError, match="max_stages must be nonnegative"):
+            propagate_staged(CnfFormula([(1,)]), max_stages=-1)
+
     def test_max_stages_truncates(self):
         trace = propagate_staged(restrict(EXAMPLE, EXAMPLE_BINDINGS), max_stages=1)
         assert trace.stage_count() == 1

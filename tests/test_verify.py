@@ -6,7 +6,12 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import restricting_by_propagation, restricting_upac, restricting_upi
+from oracles import (
+    restricting_by_contradiction,
+    restricting_by_propagation,
+    restricting_upac,
+    restricting_upi,
+)
 from unitprop import propagate
 from unitprop.cnf import CnfFormula, assignment, restrict
 from unitprop.constraints import (
@@ -27,6 +32,7 @@ from unitprop.reductions import (
 )
 from unitprop.verify import (
     SIZE_BOUND_FACTOR,
+    Verdict,
     check_size_bound,
     check_stage_correspondence,
     computes_by_contradiction,
@@ -259,6 +265,10 @@ class TestSweep:
         assert (cex.literal, cex.stage) == (2, 2)
         assert (cex.expected, cex.observed) == ("absent", "present")
 
+    def test_a_repeated_variable_is_refused(self):
+        with pytest.raises(ValueError, match="distinct positive integers"):
+            sweep([2, 2], lambda I: Verdict(True, 1))
+
     def test_a_sweep_indexes_its_formula_once(self):
         comp = compose_upac(pairwise_at_most_one([1, 2, 3]))
         propagate._index.cache_clear()
@@ -319,6 +329,10 @@ class TestSeededSweepsMatchRestriction:
         assert _outcome(
             computes_by_propagation(formula, fn, output)
         ) == restricting_by_propagation(formula, fn, output)
+        for fn in (arc_fn(q, lit), inconsistency_fn(q)):
+            assert _outcome(
+                computes_by_contradiction(formula, fn)
+            ) == restricting_by_contradiction(formula, fn)
 
     def test_split_pair_failure_is_pinned(self):
         formula = split_pair_at_most_one([1, 2])
