@@ -51,7 +51,8 @@ is_tautological = is_contradictory
 
 
 def assignment(literals: Iterable[int]) -> frozenset[int]:
-    """Build a partial assignment, rejecting duplicates and contradictions."""
+    """Build a partial assignment: repeated literals collapse into one,
+    while 0 and contradictions are refused."""
     result = frozenset(int(lit) for lit in literals)
     if 0 in result:
         raise ValueError("0 is not a literal")

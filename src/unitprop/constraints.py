@@ -3,9 +3,10 @@
 A constraint is a total satisfiability test over complete assignments of
 its variables.  Everything else here is deliberately brute force: the
 oracles exist to validate the propagation engines and encodings, so they
-must not consult them.  ``falsifies`` is the definition; the matching
-functions and the sweeps read the same answers from a consistency table
-filled from one ``sat`` call per complete assignment.
+must not consult them.  ``falsifies`` is the definition, and the
+matching functions call it directly.  The ``is_upi``/``is_upac`` sweeps
+read the same answers from a consistency table filled from one ``sat``
+call per complete assignment.
 """
 
 from __future__ import annotations
@@ -162,39 +163,13 @@ def _consistency_table(q: Constraint) -> tuple[dict[int, int], bytearray]:
     return weight, table
 
 
-def _consistency(q: Constraint) -> Callable[[Iterable[int]], bool]:
-    """``not falsifies(q, assn)``, with the same errors, read from the
-    table built on the first call.  Past ``DEFAULT_ENUMERATION_LIMIT``
-    variables no table of 3^n bytes is built and the definition answers
-    instead."""
-    if len(q.variables) > DEFAULT_ENUMERATION_LIMIT:
-        return lambda assn: not falsifies(q, assn)
-    weight: dict[int, int] = {}
-    table = bytearray()
-
-    def consistent(assn: Iterable[int]) -> bool:
-        nonlocal weight, table
-        bindings = _mk_assignment(assn)
-        if not table:
-            weight, table = _consistency_table(q)
-        for lit in bindings:
-            if lit not in weight:
-                raise ValueError(
-                    f"variable {abs(lit)} is not a variable of {q.label}"
-                )
-        return bool(table[sum(weight[lit] for lit in bindings)])
-
-    return consistent
-
-
 def inconsistency_fn(q: Constraint) -> MatchingFunction:
     """The matching function that says yes exactly on assignments
     falsifying ``q``.  Its domain is every partial assignment."""
-    consistent = _consistency(q)
     return MatchingFunction(
         variables=q.variables,
         in_domain=lambda I: True,
-        evaluate=lambda I: not consistent(I),
+        evaluate=lambda I: falsifies(q, I),
         label=f"inconsistency of ({q.label})",
     )
 
@@ -209,18 +184,17 @@ def arc_fn(q: Constraint, literal: int) -> MatchingFunction:
     """
     if abs(literal) not in set(q.variables):
         raise ValueError(f"variable {abs(literal)} is not a variable of {q.label}")
-    consistent = _consistency(q)
 
     def evaluate(I: frozenset[int]) -> bool:
         if literal in I:
             return True
         if -literal in I:
             return False
-        return not consistent(I | {-literal})
+        return falsifies(q, I | {-literal})
 
     return MatchingFunction(
         variables=q.variables,
-        in_domain=consistent,
+        in_domain=lambda I: not falsifies(q, I),
         evaluate=evaluate,
         label=f"arc of ({q.label}) at {literal}",
     )

@@ -2,10 +2,10 @@
 
 Every checker sweeps partial assignments in the deterministic
 enumeration order and reports the first mismatch as a counterexample.
-Expected values never come from the engine under test: they are read
-from a constraint's consistency table or recomputed on the source
-formula.  Sweeps seed rather than restrict: the two agree on conflict
-and on closure.
+Expected values never come from the engine under test: they come from
+a matching function, from a constraint's consistency table, built once
+per ``is_upi``/``is_upac`` sweep, or from the source formula.  Sweeps
+seed rather than restrict: the two agree on conflict and on closure.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .cnf import CnfFormula, restrict
+from .cnf import CnfFormula, _check_universe, restrict
 from .constraints import (
     Constraint,
     MatchingFunction,
     _consistency_table,
     enumerate_partials,
-    inconsistency_fn,
 )
 from .propagate import (
     propagate_fixpoint,
@@ -98,8 +97,15 @@ def sweep(
     summing the ``checked`` counts it returns (0 outside its domain).
     The first failing assignment ends the sweep: its counterexample
     and note come back with the running total."""
+    return _sweep(enumerate_partials(variables, limit), check)
+
+
+def _sweep(
+    assignments: Iterable[frozenset[int]],
+    check: Callable[[frozenset[int]], Verdict],
+) -> Verdict:
     total = 0
-    for I in enumerate_partials(variables, limit):
+    for I in assignments:
         verdict = check(I)
         total += verdict.checked
         if not verdict.holds:
@@ -149,7 +155,7 @@ def is_upi(
     formula: CnfFormula, q: Constraint, limit: int | None = None
 ) -> Verdict:
     """Does propagation detect exactly the assignments falsifying q?"""
-    return computes_by_contradiction(formula, inconsistency_fn(q), limit)
+    return _against_table(formula, q, limit, forced_literals=False)
 
 
 def is_upac(
@@ -160,23 +166,29 @@ def is_upac(
 
     Only literals of variables unbound in the assignment are checked;
     what propagation says about already-bound variables is not
-    constrained.  Expected answers come from ``q``'s consistency table,
-    built on the first check so that the sweep's limit refusal comes
-    first.
+    constrained.
     """
-    weight: dict[int, int] = {}
-    table = bytearray()
+    return _against_table(formula, q, limit, forced_literals=True)
+
+
+def _against_table(
+    formula: CnfFormula, q: Constraint, limit: int | None, forced_literals: bool
+) -> Verdict:
+    """The sweep of ``is_upi`` and ``is_upac``: each assignment's
+    conflict, and with ``forced_literals`` its inferred literals, against
+    ``q``'s consistency table.  An over-limit sweep and a variable of
+    ``q`` outside the formula are refused before the table is built."""
+    assignments = enumerate_partials(q.variables, limit)
+    _check_universe(q.variables, formula)
+    weight, table = _consistency_table(q)
 
     def check(I: frozenset[int]) -> Verdict:
-        nonlocal weight, table
-        if not table:
-            weight, table = _consistency_table(q)
         code = sum(weight[lit] for lit in I)
         out = propagate_fixpoint(formula, I)
         falsified = not table[code]
         if out.conflicted != falsified:
             return _mismatch(I, _CONFLICT, falsified)
-        if falsified:
+        if falsified or not forced_literals:
             return _HOLDS
         for v in q.variables:
             if v in I or -v in I:
@@ -187,7 +199,7 @@ def is_upac(
                     return _mismatch(I, _INFERRED, forced, lit)
         return _HOLDS
 
-    return sweep(q.variables, check, limit)
+    return _sweep(assignments, check)
 
 
 def check_stage_correspondence(

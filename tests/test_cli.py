@@ -271,13 +271,18 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["verify-upac", "verify-upi"])
     def test_constraint_wider_than_the_formula(self, tmp_path, capsys, command):
-        path = tmp_path / "three.cnf"
-        path.write_text("p cnf 3 0\n")
-        table = "table 4 " + "1" * 16
-        assert main([command, str(path), "--constraint", table]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: literal 4 outside universe 1..3\n"
+        # refused up front, also where a clause would fail the sweep first
+        cases = [
+            ("p cnf 3 0\n", "table 4 " + "1" * 16, "literal 4 outside universe 1..3"),
+            ("p cnf 1 1\n1 0\n", "table 2 1111", "literal 2 outside universe 1..1"),
+        ]
+        for dimacs, table, message in cases:
+            path = tmp_path / "narrow.cnf"
+            path.write_text(dimacs)
+            assert main([command, str(path), "--constraint", table]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
     def test_enumeration_guard(self, tmp_path, capsys):
         path = tmp_path / "wide.cnf"

@@ -72,6 +72,10 @@ class TestAssignment:
         with pytest.raises(ValueError):
             assignment([0])
 
+    def test_repeated_literals_collapse(self):
+        assert assignment([1, 1]) == frozenset({1})
+        assert assignment([-2, 3, -2]) == frozenset({-2, 3})
+
 
 class TestFormula:
     def test_universe_derived_from_literals(self):

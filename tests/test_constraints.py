@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,20 +135,19 @@ class TestFalsifies:
 
 
 def _check_table(q):
-    """The consistency table, and the matching functions that read it,
-    agree with ``falsifies`` and with the scans on every assignment."""
+    """The consistency table agrees with ``falsifies`` and with the scans
+    on every assignment, the forcing of each unbound literal included."""
     weight, table = _consistency_table(q)
     assert len(table) == 3 ** len(q.variables)
     assert table_disagreements(q, weight, table) == []
-    inconsistency = inconsistency_fn(q)
-    arcs = {lit: arc_fn(q, lit) for v in q.variables for lit in (v, -v)}
-    for part in enumerate_partials(q.variables):
-        falsified = falsifies(q, part)
-        assert inconsistency.evaluate(part) == falsified
-        for lit, arc in arcs.items():
-            assert arc.in_domain(part) == (not falsified)
-            if not falsified and lit not in part and -lit not in part:
-                assert arc.evaluate(part) == falsifies(q, part | {-lit})
+    for code, part in enumerate(enumerate_partials(q.variables)):
+        assert (not table[code]) == falsifies(q, part)
+        for v in q.variables:
+            if v in part or -v in part:
+                continue
+            for lit in (v, -v):
+                forced = not table[code + weight[-lit]]
+                assert forced == falsifies(q, part | {-lit})
 
 
 class TestConsistencyTable:
@@ -187,25 +185,6 @@ class TestConsistencyTable:
         assert table.count(0) == 7
         assert table[weight[1] + weight[2]] == 0
         assert table[weight[1] + weight[-2]] == 1
-
-    def test_past_the_limit_the_definition_answers(self):
-        n = DEFAULT_ENUMERATION_LIMIT + 1
-        amo = at_most_k(1, range(1, n + 1))
-        calls = []
-        q = dataclasses.replace(amo, sat=lambda c: calls.append(c) or amo.sat(c))
-        f = inconsistency_fn(q)
-        assert f.evaluate(frozenset({1, 2}))
-        # the 2^(n-2) extensions, not the 2^n rows of a 3^n table
-        assert len(calls) == 2 ** (n - 2)
-        rng = random.Random(20261018)
-        answers = set()
-        for _ in range(100):
-            bound = rng.sample(q.variables, rng.randint(n - 4, n))
-            part = frozenset(v if rng.random() < 1 / n else -v for v in bound)
-            got = f.evaluate(part)
-            answers.add(got)
-            assert got == falsifies(q, part)
-        assert answers == {True, False}
 
 
 class TestMatchingFunctions:
@@ -256,6 +235,27 @@ class TestMatchingFunctions:
         assert str(got.value) == str(want.value)
         with pytest.raises(ValueError, match="contradictory assignment: both"):
             call(q, frozenset({2, -2}))
+
+    @pytest.mark.parametrize(
+        "n", [DEFAULT_ENUMERATION_LIMIT, DEFAULT_ENUMERATION_LIMIT + 1]
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda q, I: inconsistency_fn(q).evaluate(I),
+            lambda q, I: arc_fn(q, 1).evaluate(I),
+            lambda q, I: arc_fn(q, 1).in_domain(I),
+        ],
+        ids=["inconsistency", "arc-evaluate", "arc-domain"],
+    )
+    def test_a_call_builds_no_table(self, call, n):
+        # all but two variables bound: at most the 4 complete extensions
+        # run, not the 2^n rows of a table
+        amo = at_most_k(1, range(1, n + 1))
+        calls = []
+        q = dataclasses.replace(amo, sat=lambda c: calls.append(c) or amo.sat(c))
+        call(q, frozenset(-v for v in range(3, n + 1)))
+        assert len(calls) <= 4
 
     def test_arc_agrees_with_inconsistency_of_the_flipped_literal(self):
         q = at_most_k(1, [1, 2, 3])

@@ -15,6 +15,7 @@ from oracles import (
 from unitprop import propagate
 from unitprop.cnf import CnfFormula, assignment, restrict
 from unitprop.constraints import (
+    DEFAULT_ENUMERATION_LIMIT,
     arc_fn,
     at_most_k,
     enumerate_partials,
@@ -46,6 +47,12 @@ from unitprop.verify import (
 
 EXAMPLE = CnfFormula([(1,), (-1, 2, 3), (-3, -4)], num_vars=4)
 AMO3 = at_most_k(1, [1, 2, 3])
+
+
+def _counting(q):
+    """``q`` with a ``sat`` that records each call, and the record."""
+    calls = []
+    return dataclasses.replace(q, sat=lambda c: calls.append(c) or q.sat(c)), calls
 
 
 def small_formulas(max_vars=3, max_clauses=4, max_len=3):
@@ -199,18 +206,41 @@ class TestUpac:
         )
         assert is_upac(mutated, amo2).holds
 
-    def test_sat_runs_once_per_complete_assignment(self):
-        amo5 = at_most_k(1, range(1, 6))
-        calls = []
-
-        def counting_sat(complete):
-            calls.append(complete)
-            return amo5.sat(complete)
-
-        q = dataclasses.replace(amo5, sat=counting_sat)
-        verdict = is_upac(pairwise_at_most_one(range(1, 6)), q)
+    @pytest.mark.parametrize("checker", [is_upi, is_upac], ids=["is_upi", "is_upac"])
+    def test_sat_runs_once_per_complete_assignment(self, checker):
+        q, calls = _counting(at_most_k(1, range(1, 6)))
+        verdict = checker(pairwise_at_most_one(range(1, 6)), q)
         assert verdict.holds and verdict.checked == 3 ** 5
         assert len(calls) <= 2 ** 5
+
+    def test_one_table_past_the_default_limit(self):
+        # one 2^13 table for the sweep, not one 2^k scan per assignment
+        n = DEFAULT_ENUMERATION_LIMIT + 1
+        q, calls = _counting(at_most_k(1, range(1, n + 1)))
+        pairwise = pairwise_at_most_one(range(1, n + 1))
+        formula = CnfFormula(pairwise.clauses[1:], num_vars=n)
+        verdict = is_upi(formula, q, limit=n)
+        assert _outcome(verdict) == (
+            False, 5, (frozenset({1, 2}), "conflict", "no-conflict", None)
+        )
+        assert len(calls) <= 2 ** n
+
+    @pytest.mark.parametrize("checker", [is_upi, is_upac], ids=["is_upi", "is_upac"])
+    def test_an_over_limit_sweep_is_refused_before_the_table(self, checker):
+        n = DEFAULT_ENUMERATION_LIMIT + 1
+        q, calls = _counting(at_most_k(1, range(1, n + 1)))
+        with pytest.raises(ValueError, match="refusing to enumerate"):
+            checker(pairwise_at_most_one(range(1, n + 1)), q)
+        assert calls == []
+
+    @pytest.mark.parametrize("checker", [is_upi, is_upac], ids=["is_upi", "is_upac"])
+    def test_a_variable_outside_the_formula_is_refused(self, checker):
+        # the sweep used to report FAILS at {} (is_upac) or {-1} (is_upi)
+        # before it reached an assignment binding variable 2
+        q, calls = _counting(truth_table([1, 2], "1111"))
+        with pytest.raises(ValueError, match=r"literal 2 outside universe 1\.\.1"):
+            checker(CnfFormula([(1,)], num_vars=1), q)
+        assert calls == []
 
     def test_a_repeated_variable_is_refused_not_misjudged(self):
         # with (1, 1, 2) accepted, the sweep reported a false FAILS
