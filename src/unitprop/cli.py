@@ -75,10 +75,11 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.records and not args.staged:
-        print("error: --records requires --staged", file=sys.stderr)
-        return 2
     if not args.staged:
+        if args.records or args.max_stages is not None:
+            flag = "--records" if args.records else "--max-stages"
+            print(f"error: {flag} requires --staged", file=sys.stderr)
+            return 2
         # a trace only reports, so a conflict still exits 0
         _cmd_propagate(args)
         return 0

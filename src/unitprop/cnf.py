@@ -40,16 +40,6 @@ def canonical_clause(literals: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_contradictory(literals: Iterable[int]) -> bool:
-    """True if a literal set binds some variable both ways."""
-    lits = set(literals)
-    return any(-lit in lits for lit in lits)
-
-
-# A clause is tautological exactly when its literal set is contradictory.
-is_tautological = is_contradictory
-
-
 def assignment(literals: Iterable[int]) -> frozenset[int]:
     """Build a partial assignment: repeated literals collapse into one,
     while 0 and contradictions are refused."""
@@ -114,6 +104,13 @@ class CnfFormula:
             else:
                 parts.append("(" + " | ".join(str(l) for l in clause) + ")")
         return " & ".join(parts)
+
+
+def _check_variables(vs: tuple[int, ...]) -> None:
+    if len(set(vs)) != len(vs) or any(v < 1 for v in vs):
+        raise ValueError(
+            f"constraint variables must be distinct positive integers, got {vs}"
+        )
 
 
 def _check_universe(literals: Iterable[int], formula: CnfFormula) -> None:

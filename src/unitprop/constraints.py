@@ -16,20 +16,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .cnf import CnfFormula, assignment as _mk_assignment, parse_dimacs
+from .cnf import (
+    CnfFormula,
+    _check_variables,
+    assignment as _mk_assignment,
+    parse_dimacs,
+)
 
 DEFAULT_ENUMERATION_LIMIT = 12
-
-AT_MOST_K = "at_most_k"
-TRUTH_TABLE = "truth_table"
-CNF_SEMANTIC = "cnf_semantic"
-
-
-def _check_variables(vs: tuple[int, ...]) -> None:
-    if len(set(vs)) != len(vs) or any(v < 1 for v in vs):
-        raise ValueError(
-            f"constraint variables must be distinct positive integers, got {vs}"
-        )
 
 
 @dataclass(frozen=True)
@@ -41,7 +35,6 @@ class Constraint:
     """
 
     variables: tuple[int, ...]
-    kind: str
     label: str
     sat: Callable[[frozenset[int]], bool] = field(compare=False, repr=False)
 
@@ -65,7 +58,6 @@ class MatchingFunction:
     variables: tuple[int, ...]
     in_domain: Callable[[frozenset[int]], bool] = field(compare=False, repr=False)
     evaluate: Callable[[frozenset[int]], bool] = field(compare=False, repr=False)
-    label: str = ""
 
 
 def at_most_k(k: int, variables: Iterable[int]) -> Constraint:
@@ -77,7 +69,7 @@ def at_most_k(k: int, variables: Iterable[int]) -> Constraint:
     def sat(complete: frozenset[int]) -> bool:
         return sum(1 for v in vs if v in complete) <= k
 
-    return Constraint(vs, AT_MOST_K, f"atmost {k} of {len(vs)}", sat)
+    return Constraint(vs, f"atmost {k} of {len(vs)}", sat)
 
 
 def truth_table(variables: Iterable[int], bits: str) -> Constraint:
@@ -99,7 +91,7 @@ def truth_table(variables: Iterable[int], bits: str) -> Constraint:
         index = sum(1 << j for j, v in enumerate(vs) if v in complete)
         return bits[index] == "1"
 
-    return Constraint(vs, TRUTH_TABLE, f"table {len(vs)} {bits}", sat)
+    return Constraint(vs, f"table {len(vs)} {bits}", sat)
 
 
 def cnf_constraint(formula: CnfFormula) -> Constraint:
@@ -112,7 +104,7 @@ def cnf_constraint(formula: CnfFormula) -> Constraint:
     def sat(complete: frozenset[int]) -> bool:
         return all(any(lit in complete for lit in clause) for clause in formula.clauses)
 
-    return Constraint(vs, CNF_SEMANTIC, f"cnf over {len(vs)} vars", sat)
+    return Constraint(vs, f"cnf over {len(vs)} vars", sat)
 
 
 def falsifies(q: Constraint, assn: Iterable[int]) -> bool:
@@ -170,7 +162,6 @@ def inconsistency_fn(q: Constraint) -> MatchingFunction:
         variables=q.variables,
         in_domain=lambda I: True,
         evaluate=lambda I: falsifies(q, I),
-        label=f"inconsistency of ({q.label})",
     )
 
 
@@ -196,7 +187,6 @@ def arc_fn(q: Constraint, literal: int) -> MatchingFunction:
         variables=q.variables,
         in_domain=lambda I: not falsifies(q, I),
         evaluate=evaluate,
-        label=f"arc of ({q.label}) at {literal}",
     )
 
 
@@ -273,9 +263,7 @@ def binomial_at_most_k(variables: Iterable[int], k: int) -> CnfFormula:
     return CnfFormula(clauses, num_vars=max(vs, default=0))
 
 
-def split_pair_at_most_one(
-    variables: Iterable[int], first_aux: int | None = None
-) -> CnfFormula:
+def split_pair_at_most_one(variables: Iterable[int]) -> CnfFormula:
     """An at-most-one encoding that detects conflicts but never infers.
 
     Each pair gets a throwaway variable w and the two clauses
@@ -287,9 +275,7 @@ def split_pair_at_most_one(
     """
     vs = tuple(variables)
     top = max(vs, default=0)
-    aux = top + 1 if first_aux is None else first_aux
-    if aux <= top:
-        raise ValueError(f"first_aux must exceed {top}")
+    aux = top + 1
     clauses: list[tuple[int, ...]] = []
     for a, b in itertools.combinations(vs, 2):
         clauses.append((-a, -b, aux))

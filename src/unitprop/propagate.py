@@ -28,9 +28,6 @@ from typing import Iterable, Iterator, Mapping
 
 from .cnf import CnfFormula, _check_universe, assignment as _mk_assignment, restrict
 
-FIXPOINT = "fixpoint"
-CONFLICT = "conflict"
-
 
 @dataclass(frozen=True)
 class PropagationOutcome:
@@ -43,14 +40,13 @@ class PropagationOutcome:
     clause that closed the run, or None on a fixpoint.
     """
 
-    kind: str
     final: frozenset[int]
     conflict_clause: int | None
     steps: tuple[tuple[int, int], ...]
 
     @property
     def conflicted(self) -> bool:
-        return self.kind == CONFLICT
+        return self.conflict_clause is not None
 
 
 @dataclass(frozen=True)
@@ -71,9 +67,6 @@ class StagedTrace:
     conflict: bool
     conflict_stage: int | None
     saturated: bool
-
-    def stage_count(self) -> int:
-        return len(self.stages)
 
 
 @lru_cache(maxsize=8)
@@ -107,8 +100,8 @@ def propagate_fixpoint(
     steps: list[tuple[int, int]] = []
     queue: deque[int] = deque(sorted(seed, key=abs))
 
-    def outcome(kind: str, conflict_clause: int | None = None) -> PropagationOutcome:
-        return PropagationOutcome(kind, frozenset(assigned), conflict_clause, tuple(steps))
+    def outcome(conflict_clause: int | None = None) -> PropagationOutcome:
+        return PropagationOutcome(frozenset(assigned), conflict_clause, tuple(steps))
 
     def push(lit: int, idx: int) -> int | None:
         if lit in assigned:
@@ -122,10 +115,10 @@ def propagate_fixpoint(
 
     for idx in short:
         if not clauses[idx]:
-            return outcome(CONFLICT, idx)
+            return outcome(idx)
         bad = push(clauses[idx][0], idx)
         if bad is not None:
-            return outcome(CONFLICT, bad)
+            return outcome(bad)
 
     while queue:
         lit = queue.popleft()
@@ -136,11 +129,11 @@ def propagate_fixpoint(
                 continue
             active = next((l for l in clause if -l not in assigned), None)
             if active is None:
-                return outcome(CONFLICT, idx)
+                return outcome(idx)
             # -active is unassigned, so this push cannot conflict
             push(active, idx)
 
-    return outcome(FIXPOINT)
+    return outcome()
 
 
 def propagate_staged(

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .cnf import CnfFormula, _check_universe
+from .cnf import CnfFormula, _check_universe, _check_variables
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class SimulationMap:
 
     source_num_vars: int
     levels: int
-    first_aux: int
     output_var: int
     aux: Mapping[tuple[int, int], int]
 
@@ -70,15 +69,6 @@ class FamilyCounts:
             + self.collection
         )
 
-    def astuple(self) -> tuple[int, int, int, int, int]:
-        return (
-            self.injection,
-            self.replication,
-            self.deduction,
-            self.unit,
-            self.collection,
-        )
-
 
 @dataclass(frozen=True)
 class ReductionOutput:
@@ -91,13 +81,12 @@ class ReductionOutput:
 @dataclass(frozen=True)
 class UpacBlock:
     """One per-literal slice of a composition: the clauses at indices
-    ``start..end-1`` of the composed formula, ``guard_index`` being the
-    (-s_w | -w) clause."""
+    ``start..guard_index`` of the composed formula, the last of them,
+    ``guard_index``, being the (-s_w | -w) clause."""
 
     literal: int
     reduction: ReductionOutput
     start: int
-    end: int
     guard_index: int
 
 
@@ -105,7 +94,6 @@ class UpacBlock:
 class Composition:
     formula: CnfFormula
     source: CnfFormula
-    variables: tuple[int, ...]
     blocks: tuple[UpacBlock, ...]
 
     def block_for(self, literal: int) -> UpacBlock:
@@ -205,7 +193,6 @@ def contra_to_prop(
     sim_map = SimulationMap(
         source_num_vars=n,
         levels=levels,
-        first_aux=first_aux,
         output_var=output_var,
         aux=aux,
     )
@@ -225,18 +212,14 @@ def compose_upac(
     guard (-s_w | -w).  Auxiliary namespaces are allocated back to back
     so all blocks stay disjoint from each other and the source.
     """
-    if variables is None:
-        vs = tuple(source.variables)
-    else:
-        vs = tuple(sorted(set(variables)))
-    for v in vs:
-        if not 1 <= v <= source.num_vars:
-            raise ValueError(f"variable {v} outside universe 1..{source.num_vars}")
+    vs = tuple(source.variables if variables is None else variables)
+    _check_variables(vs)
+    _check_universe(vs, source)
 
     clauses: list[tuple[int, ...]] = list(source.clauses)
     blocks: list[UpacBlock] = []
     next_aux = source.num_vars + 1
-    for v in vs:
+    for v in sorted(vs):
         for literal in (v, -v):
             extended = CnfFormula(
                 source.clauses + ((literal,),), num_vars=source.num_vars
@@ -246,21 +229,11 @@ def compose_upac(
             clauses.extend(red.formula.clauses)
             guard_index = len(clauses)
             clauses.append((-red.map.output_var, -literal))
-            blocks.append(
-                UpacBlock(
-                    literal=literal,
-                    reduction=red,
-                    start=start,
-                    end=guard_index + 1,
-                    guard_index=guard_index,
-                )
-            )
+            blocks.append(UpacBlock(literal, red, start, guard_index))
             next_aux = red.map.output_var + 1
 
     formula = CnfFormula(clauses, num_vars=next_aux - 1)
-    return Composition(
-        formula=formula, source=source, variables=vs, blocks=tuple(blocks)
-    )
+    return Composition(formula=formula, source=source, blocks=tuple(blocks))
 
 
 def render_simulation_map(sim_map: SimulationMap) -> str:
@@ -271,32 +244,3 @@ def render_simulation_map(sim_map: SimulationMap) -> str:
         lines.append(f"x {lit} {level} {var}")
     lines.append(f"s {sim_map.output_var}")
     return "\n".join(lines) + "\n"
-
-
-def parse_simulation_map(text: str) -> SimulationMap:
-    aux: dict[tuple[int, int], int] = {}
-    output_var: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "x" and len(fields) == 4:
-            lit, level, var = int(fields[1]), int(fields[2]), int(fields[3])
-            aux[(lit, level)] = var
-        elif fields[0] == "s" and len(fields) == 2:
-            output_var = int(fields[1])
-        else:
-            raise ValueError(f"line {lineno}: bad side-map line {line!r}")
-    if output_var is None:
-        raise ValueError("side map has no output line")
-    if not aux:
-        raise ValueError("side map has no auxiliary lines")
-    n = max(abs(lit) for lit, _ in aux)
-    return SimulationMap(
-        source_num_vars=n,
-        levels=max(level for _, level in aux),
-        first_aux=min(aux.values()),
-        output_var=output_var,
-        aux=aux,
-    )

@@ -249,11 +249,9 @@ def check_stage_correspondence(
     return Verdict(True, checked)
 
 
-def check_size_bound(
-    output: ReductionOutput, factor: float = SIZE_BOUND_FACTOR
-) -> Verdict:
+def check_size_bound(output: ReductionOutput) -> Verdict:
     """Family counts match their closed forms and the total literal
-    count stays within factor * n^2 * source size."""
+    count stays within ``SIZE_BOUND_FACTOR`` * n^2 * source size."""
     n = output.source.num_vars
     singles = len({c[0] for c in output.source.clauses if len(c) == 1})
     wide = sum(len(c) for c in output.source.clauses if len(c) >= 2)
@@ -284,7 +282,7 @@ def check_size_bound(
             note="family counts do not sum to clause count",
         )
     size = output.formula.size()
-    bound = factor * n * n * output.source.size()
+    bound = SIZE_BOUND_FACTOR * n * n * output.source.size()
     if size > bound:
         return _fails(
             1,
@@ -296,19 +294,15 @@ def check_size_bound(
     return Verdict(True, 1)
 
 
-def contradiction_fn(
-    formula: CnfFormula, variables: tuple[int, ...] | None = None
-) -> MatchingFunction:
+def contradiction_fn(formula: CnfFormula) -> MatchingFunction:
     """The matching function "restricting this formula conflicts",
     computed by running the fixpoint engine on the formula itself.
     Meant as the reference when validating a formula DERIVED from this
     one, never as its own oracle."""
-    vs = tuple(formula.variables) if variables is None else tuple(variables)
     return MatchingFunction(
-        variables=vs,
+        variables=tuple(formula.variables),
         in_domain=lambda I: True,
         evaluate=lambda I: propagate_fixpoint(restrict(formula, I)).conflicted,
-        label="propagation conflicts",
     )
 
 

@@ -15,7 +15,7 @@ from unitprop import cli
 from unitprop.cli import main
 from unitprop.cnf import CnfFormula, emit_dimacs, parse_dimacs
 from unitprop.constraints import pairwise_at_most_one, split_pair_at_most_one
-from unitprop.reductions import parse_simulation_map
+from unitprop.reductions import contra_to_prop, render_simulation_map
 
 EXAMPLE = CnfFormula([(1,), (-1, 2, 3), (-3, -4)], num_vars=4)
 
@@ -112,9 +112,12 @@ class TestTrace:
         assert captured.out == ""
         assert captured.err == "error: max_stages must be nonnegative\n"
 
-    def test_records_require_staged(self, example_cnf, capsys):
-        assert main(["trace", example_cnf, "--records"]) == 2
-        assert "--records requires --staged" in capsys.readouterr().err
+    @pytest.mark.parametrize("option", [["--records"], ["--max-stages", "1"]])
+    def test_records_require_staged(self, example_cnf, capsys, option):
+        assert main(["trace", example_cnf, *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option[0]} requires --staged\n"
 
     def test_default_is_the_fixpoint_view(self, example_cnf, capsys):
         assert main(["trace", example_cnf]) == 0
@@ -159,9 +162,7 @@ class TestReduce:
         written = parse_dimacs(sim.read_text())
         assert len(written) == 65
         assert written.num_vars == 45
-        side_map = parse_simulation_map(side.read_text())
-        assert side_map.output_var == 45
-        assert side_map.aux[(1, 1)] == 5
+        assert side.read_text() == render_simulation_map(contra_to_prop(EXAMPLE).map)
 
     def test_dimacs_to_stdout_without_output_file(self, example_cnf, capsys):
         assert main(["reduce-c2p", example_cnf]) == 0
@@ -205,6 +206,12 @@ class TestCompose:
         ) == 0
         first = capsys.readouterr().out.splitlines()[0]
         assert first.startswith("COMPOSED blocks=4 ")
+
+    def test_repeated_variable_refused(self, amo_cnf, capsys):
+        assert main(["compose-upac", amo_cnf, "--vars", "1 1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "distinct positive integers" in captured.err
 
 
 class TestVerify:
@@ -251,6 +258,12 @@ class TestErrors:
         assert main(["propagate", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    def test_bad_assignment_syntax(self, example_cnf, capsys):
+        assert main(["propagate", example_cnf, "--assign", "1 x"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad assignment syntax '1 x': expected signed integers\n"
+        )
 
     def test_contradictory_assignment(self, example_cnf, capsys):
         assert main(["propagate", example_cnf, "--assign", "1 -1"]) == 2

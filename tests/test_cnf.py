@@ -9,8 +9,6 @@ from unitprop.cnf import (
     assignment,
     canonical_clause,
     emit_dimacs,
-    is_contradictory,
-    is_tautological,
     parse_dimacs,
     restrict,
 )
@@ -52,12 +50,6 @@ class TestClauses:
 
     def test_tautologies_survive_canonicalization(self):
         assert canonical_clause((1, -1)) == (1, -1)
-        assert is_tautological((1, -1))
-        assert not is_tautological((1, 2))
-
-    def test_contradictory_pairs(self):
-        assert is_contradictory({1, -1, 2})
-        assert not is_contradictory({1, 2})
 
 
 class TestAssignment:
@@ -171,6 +163,20 @@ class TestDimacs:
         with pytest.raises(DimacsError, match="line \\d+") as err:
             parse_dimacs(text)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf x 1\n", "line 1: bad header 'p cnf x 1'"),
+            ("p cnf -1 0\n", "line 1: bad header 'p cnf -1 0'"),
+            ("", "line 1: missing 'p cnf' header"),
+        ],
+    )
+    def test_bad_or_missing_header_is_reported_on_line_one(self, text, message):
+        with pytest.raises(DimacsError) as err:
+            parse_dimacs(text)
+        assert str(err.value) == message
+        assert err.value.line == 1
 
     def test_emit_minimal(self):
         f = CnfFormula([(1, -2)], num_vars=2)

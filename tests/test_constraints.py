@@ -29,7 +29,6 @@ from unitprop.constraints import (
 class TestConstraintKinds:
     def test_at_most_k_counts_positive_literals(self):
         q = at_most_k(1, [1, 2, 3])
-        assert q.kind == "at_most_k"
         assert q.label == "atmost 1 of 3"
         assert q.satisfied_by(frozenset({1, -2, -3}))
         assert q.satisfied_by(frozenset({-1, -2, -3}))
@@ -39,6 +38,10 @@ class TestConstraintKinds:
         q = at_most_k(0, [1, 2])
         assert q.satisfied_by(frozenset({-1, -2}))
         assert not q.satisfied_by(frozenset({1, -2}))
+
+    def test_negative_k_refused(self):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            at_most_k(-1, [1, 2])
 
     def test_truth_table_bit_order(self):
         # bit index = sum of 2^(i) over true variables, variables[0] least
@@ -57,7 +60,7 @@ class TestConstraintKinds:
 
     def test_cnf_semantics(self):
         q = cnf_constraint(CnfFormula([(1, -2)], num_vars=2))
-        assert q.kind == "cnf_semantic"
+        assert q.label == "cnf over 2 vars"
         assert q.satisfied_by(frozenset({1, 2}))
         assert not q.satisfied_by(frozenset({-1, 2}))
 
@@ -73,7 +76,7 @@ class TestConstraintKinds:
             lambda: at_most_k(1, [0, 1]),
             lambda: at_most_k(1, [-1, 2]),
             lambda: truth_table([1, 1], "0110"),
-            lambda: Constraint((2, 2), "custom", "custom", lambda c: True),
+            lambda: Constraint((2, 2), "custom", lambda c: True),
         ],
         ids=["duplicate", "zero", "negative", "table-duplicate", "direct"],
     )
@@ -318,7 +321,7 @@ class TestEnumeration:
 class TestParsing:
     def test_atmost_form(self):
         q = parse_constraint("atmost 2 of 4")
-        assert q.kind == "at_most_k"
+        assert q.label == "atmost 2 of 4"
         assert q.variables == (1, 2, 3, 4)
         assert q.satisfied_by(frozenset({1, 2, -3, -4}))
         assert not q.satisfied_by(frozenset({1, 2, 3, -4}))
@@ -331,7 +334,7 @@ class TestParsing:
         path = tmp_path / "f.cnf"
         path.write_text(emit_dimacs(CnfFormula([(1, -2)], num_vars=2)))
         q = parse_constraint(f"cnf {path}")
-        assert q.kind == "cnf_semantic"
+        assert q.label == "cnf over 2 vars"
         assert q.variables == (1, 2)
 
     @pytest.mark.parametrize(
@@ -362,6 +365,10 @@ class TestEncodings:
             (-1, -3, -4),
             (-2, -3, -4),
         )
+
+    def test_binomial_refuses_negative_k(self):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            binomial_at_most_k([1, 2], -1)
 
     def test_split_pair_adds_one_selector_per_pair(self):
         f = split_pair_at_most_one([1, 2, 3])

@@ -12,11 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import naive_stages, naive_unit_closure
-from unitprop.cnf import CnfFormula, assignment, is_tautological, restrict
+from unitprop.cnf import CnfFormula, assignment, restrict
 from unitprop.constraints import enumerate_partials
 from unitprop.propagate import (
-    CONFLICT,
-    FIXPOINT,
     infers,
     propagate_fixpoint,
     propagate_staged,
@@ -60,20 +58,18 @@ class TestFixpoint:
     def test_chain_of_units(self):
         f = CnfFormula([(1,), (-1, 2)])
         out = propagate_fixpoint(f)
-        assert out.kind == FIXPOINT
         assert not out.conflicted
         assert out.final == frozenset({1, 2})
         assert out.steps == ((1, 0), (2, 1))
 
     def test_nothing_to_do(self):
         out = propagate_fixpoint(CnfFormula([(1, 2)]))
-        assert out.kind == FIXPOINT
+        assert not out.conflicted
         assert out.final == frozenset()
         assert out.steps == ()
 
     def test_example_conflicts_under_bindings(self):
         out = propagate_fixpoint(restrict(EXAMPLE, EXAMPLE_BINDINGS))
-        assert out.kind == CONFLICT
         assert out.conflicted
         assert out.conflict_clause == 2
         assert out.steps == ((1, 0), (-2, 3), (4, 4), (3, 1))
@@ -81,24 +77,24 @@ class TestFixpoint:
 
     def test_seed_matches_restriction(self):
         seeded = propagate_fixpoint(EXAMPLE, assignment=EXAMPLE_BINDINGS)
-        assert seeded.kind == CONFLICT
+        assert seeded.conflicted
         assert seeded.final >= EXAMPLE_BINDINGS
 
     def test_empty_clause_is_an_immediate_conflict(self):
         out = propagate_fixpoint(CnfFormula([(), (1,)], num_vars=1))
-        assert out.kind == CONFLICT
+        assert out.conflicted
         assert out.conflict_clause == 0
         assert out.steps == ()
 
     def test_unit_clause_against_the_seed(self):
         out = propagate_fixpoint(CnfFormula([(1,)]), assignment=[-1])
-        assert out.kind == CONFLICT
+        assert out.conflicted
         assert out.conflict_clause == 0
         assert out.steps == ((1, 0),)
 
     def test_clause_falsified_by_queued_seeds(self):
         out = propagate_fixpoint(CnfFormula([(-1, -2)]), assignment=[1, 2])
-        assert out.kind == CONFLICT
+        assert out.conflicted
         assert out.conflict_clause == 0
         assert out.steps == ()
 
@@ -107,7 +103,7 @@ class TestFixpoint:
         # so clause 1 finds no live literal although its counter says one
         f = CnfFormula([(-1, 2), (-1, -2)])
         out = propagate_fixpoint(f, assignment=[1])
-        assert out.kind == CONFLICT
+        assert out.conflicted
         assert out.conflict_clause == 1
         assert out.steps == ((2, 0),)
 
@@ -134,7 +130,7 @@ class TestStaged:
         assert trace.conflict
         assert trace.conflict_stage == 2
         assert trace.saturated
-        assert trace.stage_count() == 3
+        assert len(trace.stages) == 3
 
     def test_saturation_continues_past_the_conflict(self):
         # stage 3 still fires the two clauses that became fully falsified
@@ -176,7 +172,7 @@ class TestStaged:
 
     def test_max_stages_truncates(self):
         trace = propagate_staged(restrict(EXAMPLE, EXAMPLE_BINDINGS), max_stages=1)
-        assert trace.stage_count() == 1
+        assert len(trace.stages) == 1
         assert not trace.saturated
 
     def test_duplicate_candidates_keep_the_lowest_clause(self):
@@ -300,7 +296,7 @@ class TestAgainstNaiveOracle:
         part = data.draw(partial_assignments(formula))
         seeded = propagate_fixpoint(formula, assignment=part)
         restricted = propagate_fixpoint(restrict(formula, part))
-        assert seeded.kind == restricted.kind
+        assert seeded.conflicted == restricted.conflicted
         if not seeded.conflicted:
             assert seeded.final == restricted.final
 
@@ -349,7 +345,7 @@ class TestAgainstNaiveOracle:
     def test_stage_count_is_bounded_without_conflict(self, formula):
         trace = propagate_staged(formula)
         if not trace.conflict:
-            assert trace.stage_count() <= formula.num_vars + 1
+            assert len(trace.stages) <= formula.num_vars + 1
             assert trace.saturated
 
     @settings(deadline=None, max_examples=40)
@@ -362,8 +358,8 @@ class TestAgainstNaiveOracle:
         )
         first = propagate_fixpoint(formula, assignment=part)
         second = propagate_fixpoint(formula, assignment=part)
-        assert (first.kind, first.final, first.steps) == (
-            second.kind,
+        assert (first.conflicted, first.final, first.steps) == (
+            second.conflicted,
             second.final,
             second.steps,
         )
@@ -393,7 +389,7 @@ def test_seeded_and_restricted_runs_match_the_pinned_digest():
     clauses = [c for f in formulas for c in f.clauses]
     assert any(not c for c in clauses)
     assert any(len(c) == 1 for c in clauses)
-    assert any(is_tautological(c) for c in clauses)
+    assert any(-lit in c for c in clauses for lit in c)  # tautological
     digest = hashlib.sha256()
     for formula in formulas:
         for part in enumerate_partials(formula.variables):
@@ -403,7 +399,10 @@ def test_seeded_and_restricted_runs_match_the_pinned_digest():
                 # sets are sorted so that the digest pins values, not
                 # set iteration order
                 fixpoint = (
-                    out.kind, sorted(out.final), out.conflict_clause, out.steps
+                    "conflict" if out.conflicted else "fixpoint",
+                    sorted(out.final),
+                    out.conflict_clause,
+                    out.steps,
                 )
                 staged = (
                     sorted(trace.initial),

@@ -12,7 +12,7 @@ from oracles import (
     restricting_upac,
     restricting_upi,
 )
-from unitprop import propagate
+from unitprop import propagate, verify
 from unitprop.cnf import CnfFormula, assignment, restrict
 from unitprop.constraints import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -27,6 +27,7 @@ from unitprop.constraints import (
 from unitprop.propagate import propagate_fixpoint
 from unitprop.reductions import (
     FamilyCounts,
+    ReductionOutput,
     compose_upac,
     contra_to_prop,
     prop_to_contra,
@@ -288,12 +289,14 @@ class TestSweep:
             lambda I: check_stage_correspondence(source, I, reduction=wrong),
         )
         # {} holds over all 12 stage pairs; {1} fails at its 7th pair
-        assert not verdict.holds
-        assert verdict.checked == 19
-        cex = verdict.counterexample
-        assert cex.assignment == frozenset({1})
-        assert (cex.literal, cex.stage) == (2, 2)
-        assert (cex.expected, cex.observed) == ("absent", "present")
+        assert render_verdict(verdict) == (
+            "FAILS checked=19\n"
+            "  assignment: v1=1\n"
+            "  literal: 2\n"
+            "  stage: 2\n"
+            "  expected: absent\n"
+            "  observed: present"
+        )
 
     def test_a_repeated_variable_is_refused(self):
         with pytest.raises(ValueError, match="distinct positive integers"):
@@ -376,11 +379,12 @@ class TestSizeBound:
     def test_example_within_bound(self):
         assert check_size_bound(contra_to_prop(EXAMPLE)).holds
 
-    def test_constant_is_tight_at_twelve(self):
+    def test_constant_is_tight_at_twelve(self, monkeypatch):
         out = contra_to_prop(CnfFormula([(1,)], num_vars=1))
         assert SIZE_BOUND_FACTOR == 12
         assert check_size_bound(out).holds
-        verdict = check_size_bound(out, factor=8)
+        monkeypatch.setattr(verify, "SIZE_BOUND_FACTOR", 8)
+        verdict = check_size_bound(out)
         assert not verdict.holds
         assert verdict.counterexample.expected == "size<=8"
         assert verdict.counterexample.observed == "size=12"
@@ -391,6 +395,22 @@ class TestSizeBound:
             out, family_counts=FamilyCounts(8, 32, 20, 2, 4)
         )
         assert not check_size_bound(bad).holds
+
+    def test_counts_must_sum_to_the_clause_count(self):
+        out = contra_to_prop(CnfFormula([(1, 2), (2, 3), (3, 4)]))
+        grown = CnfFormula(
+            out.formula.clauses + ((1,),), num_vars=out.formula.num_vars
+        )
+        verdict = check_size_bound(
+            ReductionOutput(out.source, grown, out.map, out.family_counts)
+        )
+        assert render_verdict(verdict) == (
+            "FAILS checked=1\n"
+            "  assignment: (empty)\n"
+            "  expected: total=69\n"
+            "  observed: total=68\n"
+            "  note: family counts do not sum to clause count"
+        )
 
 
 class TestContradictionFn:
@@ -419,9 +439,10 @@ class TestRendering:
             "  observed: absent"
         )
 
-    def test_empty_assignment_and_note(self):
+    def test_empty_assignment_and_note(self, monkeypatch):
         out = contra_to_prop(CnfFormula([(1,)], num_vars=1))
-        verdict = check_size_bound(out, factor=8)
+        monkeypatch.setattr(verify, "SIZE_BOUND_FACTOR", 8)
+        verdict = check_size_bound(out)
         text = render_verdict(verdict)
         assert "assignment: (empty)" in text
         assert "note: size bound exceeded" in text
