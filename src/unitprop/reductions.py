@@ -208,9 +208,11 @@ def compose_upac(
     literals.
 
     For each literal w over ``variables`` (default: the whole source
-    universe) this conjoins a simulation of "source plus (w)" and the
-    guard (-s_w | -w).  Auxiliary namespaces are allocated back to back
-    so all blocks stay disjoint from each other and the source.
+    universe), in ascending variable order, this conjoins a simulation
+    of "source plus (w)" and the guard (-s_w | -w).  Auxiliary
+    namespaces are allocated back to back so all blocks stay disjoint
+    from each other and the source.  Variables must be distinct and
+    inside the source universe.
     """
     vs = tuple(source.variables if variables is None else variables)
     _check_variables(vs)
