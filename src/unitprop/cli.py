@@ -137,7 +137,7 @@ def _cmd_compose_upac(args: argparse.Namespace) -> int:
             f" vars={composition.formula.num_vars}"
         )
         for block in composition.blocks:
-            print(f"OUTPUT {block.literal} {block.reduction.map.output_var}")
+            print(f"OUTPUT {block.literal} {block.output_var}")
     return 0
 
 

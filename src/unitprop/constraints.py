@@ -107,16 +107,20 @@ def cnf_constraint(formula: CnfFormula) -> Constraint:
     return Constraint(vs, f"cnf over {len(vs)} vars", sat)
 
 
+def _check_scope(q: Constraint, literals: Iterable[int]) -> None:
+    universe = set(q.variables)
+    for lit in literals:
+        if abs(lit) not in universe:
+            raise ValueError(f"variable {abs(lit)} is not a variable of {q.label}")
+
+
 def falsifies(q: Constraint, assn: Iterable[int]) -> bool:
     """True iff no complete extension of ``assn`` satisfies ``q``.
 
     Brute force over the 2^(unbound) extensions by design.
     """
     bindings = _mk_assignment(assn)
-    universe = set(q.variables)
-    for lit in bindings:
-        if abs(lit) not in universe:
-            raise ValueError(f"variable {abs(lit)} is not a variable of {q.label}")
+    _check_scope(q, bindings)
     unbound = [v for v in q.variables if v not in bindings and -v not in bindings]
     for signs in itertools.product((1, -1), repeat=len(unbound)):
         complete = bindings | frozenset(s * v for s, v in zip(signs, unbound))
@@ -173,8 +177,7 @@ def arc_fn(q: Constraint, literal: int) -> MatchingFunction:
     ``q``.  When it is already bound the answer is read off the binding:
     a present literal is vacuously supported, its negation is not.
     """
-    if abs(literal) not in set(q.variables):
-        raise ValueError(f"variable {abs(literal)} is not a variable of {q.label}")
+    _check_scope(q, (literal,))
 
     def evaluate(I: frozenset[int]) -> bool:
         if literal in I:

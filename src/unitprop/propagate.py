@@ -52,21 +52,22 @@ class PropagationOutcome:
 @dataclass(frozen=True)
 class StageRecord:
     """One synchronous round: ``inferred`` pairs each new literal with the
-    clause that produced it; ``cumulative`` is everything inferred so far,
-    seed excluded."""
+    clause that produced it.  Round m is ``stages[m - 1]``; what is known
+    after it is ``stage_assignment(trace, m)``."""
 
-    index: int
     inferred: tuple[tuple[int, int], ...]
-    cumulative: frozenset[int]
 
 
 @dataclass(frozen=True)
 class StagedTrace:
     initial: frozenset[int]
     stages: tuple[StageRecord, ...]
-    conflict: bool
     conflict_stage: int | None
     saturated: bool
+
+    @property
+    def conflicted(self) -> bool:
+        return self.conflict_stage is not None
 
 
 @lru_cache(maxsize=8)
@@ -150,9 +151,9 @@ def propagate_staged(
     later round scans only the clauses that contain the negation of a
     literal fired in the round before, since no other clause can have
     changed.  The run stops when a round adds nothing (``saturated``) or
-    after ``max_stages`` recorded rounds.  ``conflict`` reports whether the
-    accumulated set ever binds a variable both ways (stage 0 if the formula
-    contains the empty clause).
+    after ``max_stages`` recorded rounds.  ``conflict_stage`` is the first
+    round whose accumulated set binds a variable both ways (0 if the
+    formula contains the empty clause), or None; ``conflicted`` tests it.
     """
     if max_stages is not None and max_stages < 0:
         raise ValueError("max_stages must be nonnegative")
@@ -165,10 +166,8 @@ def propagate_staged(
     for lit in seed:
         touched.update(occ.get(-lit, ()))
 
-    conflict = any(not clauses[idx] for idx in short)
-    conflict_stage = 0 if conflict else None
+    conflict_stage = 0 if any(not clauses[idx] for idx in short) else None
     stages: list[StageRecord] = []
-    cumulative: set[int] = set()
     saturated = False
 
     while max_stages is None or len(stages) < max_stages:
@@ -190,17 +189,14 @@ def propagate_staged(
             break
 
         known.update(new_set)
-        cumulative.update(new_set)
-        stages.append(StageRecord(len(stages) + 1, tuple(new), frozenset(cumulative)))
+        stages.append(StageRecord(tuple(new)))
         if conflict_stage is None and any(-lit in known for lit in new_set):
-            conflict = True
-            conflict_stage = stages[-1].index
+            conflict_stage = len(stages)
         touched = {idx for lit in new_set for idx in occ.get(-lit, ())}
 
     return StagedTrace(
         initial=seed,
         stages=tuple(stages),
-        conflict=conflict,
         conflict_stage=conflict_stage,
         saturated=saturated,
     )
@@ -214,10 +210,10 @@ def stage_assignment(trace: StagedTrace, stage: int) -> frozenset[int]:
     """
     if stage < 0:
         raise ValueError("stage must be nonnegative")
-    if stage == 0 or not trace.stages:
-        return trace.initial
-    capped = min(stage, len(trace.stages))
-    return trace.initial | trace.stages[capped - 1].cumulative
+    known = set(trace.initial)
+    for rec in trace.stages[:stage]:
+        known.update(lit for lit, _ in rec.inferred)
+    return frozenset(known)
 
 
 def infers(formula: CnfFormula, assignment: Iterable[int], literal: int) -> str:
@@ -259,10 +255,10 @@ def render_trace(
     trace: StagedTrace, names: Mapping[int, str] | None = None
 ) -> str:
     lines = [("INITIAL " + format_literals(trace.initial, names)).rstrip()]
-    for rec in trace.stages:
+    for m, rec in enumerate(trace.stages, start=1):
         fired = format_literals((lit for lit, _ in rec.inferred), names)
-        lines.append(f"STAGE {rec.index}: {fired}")
-    if trace.conflict:
+        lines.append(f"STAGE {m}: {fired}")
+    if trace.conflicted:
         lines.append(f"CONFLICT: stage={trace.conflict_stage}")
     status = "SATURATED" if trace.saturated else "TRUNCATED"
     lines.append(f"{status} stages={len(trace.stages)}")
@@ -271,6 +267,6 @@ def render_trace(
 
 def trace_records(trace: StagedTrace) -> Iterator[str]:
     """Flat ``"stage clause literal"`` lines, one per inference."""
-    for rec in trace.stages:
+    for m, rec in enumerate(trace.stages, start=1):
         for lit, idx in rec.inferred:
-            yield f"{rec.index} {idx} {lit}"
+            yield f"{m} {idx} {lit}"

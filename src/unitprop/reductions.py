@@ -47,7 +47,6 @@ class SimulationMap:
     "source literal, level", plus the output variable."""
 
     source_num_vars: int
-    levels: int
     output_var: int
     aux: Mapping[tuple[int, int], int]
 
@@ -80,20 +79,20 @@ class ReductionOutput:
 
 @dataclass(frozen=True)
 class UpacBlock:
-    """One per-literal slice of a composition: the clauses at indices
-    ``start..guard_index`` of the composed formula, the last of them,
-    ``guard_index``, being the (-s_w | -w) clause."""
+    """One per-literal slice of a composition: the simulation of "source
+    plus (literal)", whose output variable is ``output_var``, followed by
+    the guard (-s_w | -w) at ``guard_index`` of the composed formula.  The
+    slice starts right after the previous block's guard (the first one
+    right after the source clauses)."""
 
     literal: int
-    reduction: ReductionOutput
-    start: int
+    output_var: int
     guard_index: int
 
 
 @dataclass(frozen=True)
 class Composition:
     formula: CnfFormula
-    source: CnfFormula
     blocks: tuple[UpacBlock, ...]
 
     def block_for(self, literal: int) -> UpacBlock:
@@ -190,12 +189,7 @@ def contra_to_prop(
 
     counts = FamilyCounts(injection, replication, deduction, unit, collection)
     formula = CnfFormula(clauses, num_vars=output_var)
-    sim_map = SimulationMap(
-        source_num_vars=n,
-        levels=levels,
-        output_var=output_var,
-        aux=aux,
-    )
+    sim_map = SimulationMap(source_num_vars=n, output_var=output_var, aux=aux)
     return ReductionOutput(
         source=source, formula=formula, map=sim_map, family_counts=counts
     )
@@ -227,15 +221,14 @@ def compose_upac(
                 source.clauses + ((literal,),), num_vars=source.num_vars
             )
             red = contra_to_prop(extended, first_aux=next_aux)
-            start = len(clauses)
+            output_var = red.map.output_var
             clauses.extend(red.formula.clauses)
-            guard_index = len(clauses)
-            clauses.append((-red.map.output_var, -literal))
-            blocks.append(UpacBlock(literal, red, start, guard_index))
-            next_aux = red.map.output_var + 1
+            blocks.append(UpacBlock(literal, output_var, len(clauses)))
+            clauses.append((-output_var, -literal))
+            next_aux = output_var + 1
 
     formula = CnfFormula(clauses, num_vars=next_aux - 1)
-    return Composition(formula=formula, source=source, blocks=tuple(blocks))
+    return Composition(formula=formula, blocks=tuple(blocks))
 
 
 def render_simulation_map(sim_map: SimulationMap) -> str:

@@ -20,11 +20,7 @@ from .constraints import (
     _consistency_table,
     enumerate_partials,
 )
-from .propagate import (
-    propagate_fixpoint,
-    propagate_staged,
-    stage_assignment,
-)
+from .propagate import propagate_fixpoint, propagate_staged
 from .reductions import ReductionOutput, contra_to_prop
 
 # Largest measured ratio size(simulation) / (n^2 * size(source)); the
@@ -215,24 +211,27 @@ def check_stage_correspondence(
     level 1 in round 1, exactly when the restriction unit fires on the
     source side.  Holds iff for every round m in 1..n+1 and every source
     literal w: x(w,m) is known after round m iff w is known after
-    round m.
+    round m.  Each side keeps one known set, which takes in round m's
+    inferences just before level m is compared.
     """
     red = reduction if reduction is not None else contra_to_prop(source)
-    if red.map.source_num_vars != source.num_vars:
+    n = red.map.source_num_vars
+    if n != source.num_vars:
         raise ValueError(
-            f"reduction covers variables 1..{red.map.source_num_vars}, "
-            f"source has 1..{source.num_vars}"
+            f"reduction covers variables 1..{n}, source has 1..{source.num_vars}"
         )
+    levels = n + 1
     t_source = propagate_staged(restrict(source, assn))
-    t_sim = propagate_staged(
-        red.formula, assignment=assn, max_stages=red.map.levels
-    )
+    t_sim = propagate_staged(red.formula, assignment=assn, max_stages=levels)
     assn = frozenset(assn)
+    known_source = set(t_source.initial)
+    known_sim = set(t_sim.initial)
     checked = 0
-    for m in range(1, red.map.levels + 1):
-        known_source = stage_assignment(t_source, m)
-        known_sim = stage_assignment(t_sim, m)
-        for v in range(1, red.map.source_num_vars + 1):
+    for m in range(1, levels + 1):
+        for trace, known in ((t_source, known_source), (t_sim, known_sim)):
+            if m <= len(trace.stages):
+                known.update(lit for lit, _ in trace.stages[m - 1].inferred)
+        for v in range(1, n + 1):
             for lit in (v, -v):
                 checked += 1
                 on_source = lit in known_source

@@ -119,7 +119,7 @@ def test_criterion_1_golden_trace():
     stage2 = {lit for lit, _ in source_trace.stages[1].inferred}
     assert stage1 == {1, -2, 4}
     assert {3, -3} <= stage2
-    assert source_trace.conflict and source_trace.conflict_stage == 2
+    assert source_trace.conflicted and source_trace.conflict_stage == 2
 
     out = contra_to_prop(EXAMPLE)
     ladder = out.map.aux
@@ -131,7 +131,7 @@ def test_criterion_1_golden_trace():
     output = out.map.output_var
     assert output in stage_assignment(sim_trace, 6)
     assert output not in stage_assignment(sim_trace, 5)
-    assert not sim_trace.conflict
+    assert not sim_trace.conflicted
 
     elapsed = time.perf_counter() - started
     assert _report(1, elapsed < 1.0, f"exact stage match, {elapsed:.3f}s")
@@ -316,14 +316,11 @@ def test_criterion_6_engines_agree(corpus):
             restricted = restrict(source, part)
             out = propagate_fixpoint(restricted)
             trace = propagate_staged(restricted)
-            if out.conflicted != trace.conflict:
+            if out.conflicted != trace.conflicted:
                 violations += 1
                 continue
             if not out.conflicted:
-                final = (
-                    trace.stages[-1].cumulative if trace.stages else frozenset()
-                )
-                if final != out.final:
+                if stage_assignment(trace, len(trace.stages)) != out.final:
                     violations += 1
     elapsed = time.perf_counter() - started
     assert _report(

@@ -216,7 +216,9 @@ class TestMatchingFunctions:
         assert arc_fn(q, -2).in_domain(frozenset({1}))
 
     def test_arc_foreign_literal_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="^variable 3 is not a variable of atmost 1 of 2$"
+        ):
             arc_fn(at_most_k(1, [1, 2]), 3)
 
     @pytest.mark.parametrize(

@@ -125,9 +125,9 @@ class TestStaged:
             ((3, 1), (-3, 2)),
             ((-1, 1), (2, 1), (-4, 2)),
         ]
-        assert trace.stages[0].cumulative == frozenset({1, -2, 4})
-        assert trace.stages[1].cumulative == frozenset({1, -2, 4, 3, -3})
-        assert trace.conflict
+        assert stage_assignment(trace, 1) == frozenset({1, -2, 4})
+        assert stage_assignment(trace, 2) == frozenset({1, -2, 4, 3, -3})
+        assert trace.conflicted
         assert trace.conflict_stage == 2
         assert trace.saturated
         assert len(trace.stages) == 3
@@ -141,16 +141,17 @@ class TestStaged:
     def test_fully_falsified_clause_yields_all_its_literals(self):
         f = CnfFormula([(1, 2)])
         trace = propagate_staged(f, assignment=assignment([-1, -2]))
-        assert trace.conflict
+        assert trace.conflicted
         assert trace.conflict_stage == 1
         assert {lit for lit, _ in trace.stages[0].inferred} == {1, 2}
 
     def test_empty_clause_conflicts_at_stage_zero(self):
         trace = propagate_staged(CnfFormula([(), (1,)], num_vars=1))
-        assert trace.conflict
+        assert trace.conflicted
         assert trace.conflict_stage == 0
         # saturation still runs: the unit clause fires at stage 1
-        assert trace.stages[0].cumulative == frozenset({1})
+        assert stage_assignment(trace, 0) == frozenset()
+        assert stage_assignment(trace, 1) == frozenset({1})
 
     def test_seeded_literals_are_not_stage_inferences(self):
         trace = propagate_staged(EXAMPLE, assignment=EXAMPLE_BINDINGS)
@@ -164,7 +165,7 @@ class TestStaged:
         trace = propagate_staged(CnfFormula([(1,)]), max_stages=0)
         assert trace.stages == ()
         assert not trace.saturated
-        assert not trace.conflict
+        assert not trace.conflicted
 
     def test_negative_max_stages_refused(self):
         with pytest.raises(ValueError, match="max_stages must be nonnegative"):
@@ -195,7 +196,7 @@ class TestStageAssignment:
 
     def test_past_the_end_clamps_to_the_last_stage(self):
         trace = propagate_staged(restrict(EXAMPLE, EXAMPLE_BINDINGS))
-        assert stage_assignment(trace, 99) == trace.stages[-1].cumulative
+        assert stage_assignment(trace, 99) == frozenset({1, -2, 4, 3, -3, -1, 2, -4})
 
     def test_negative_stage_rejected(self):
         trace = propagate_staged(CnfFormula([(1,)]))
@@ -284,10 +285,9 @@ class TestAgainstNaiveOracle:
             assert out.final == frozenset(closure)
 
         trace = propagate_staged(restricted)
-        assert trace.conflict == conflict
+        assert trace.conflicted == conflict
         if not conflict:
-            final = trace.stages[-1].cumulative if trace.stages else frozenset()
-            assert final == frozenset(closure)
+            assert stage_assignment(trace, len(trace.stages)) == frozenset(closure)
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())
@@ -307,10 +307,9 @@ class TestAgainstNaiveOracle:
         part = data.draw(partial_assignments(formula))
         out = propagate_fixpoint(formula, assignment=part)
         trace = propagate_staged(formula, assignment=part)
-        assert trace.conflict == out.conflicted
+        assert trace.conflicted == out.conflicted
         if not out.conflicted:
-            final = trace.stages[-1].cumulative if trace.stages else frozenset()
-            assert trace.initial | final == out.final
+            assert stage_assignment(trace, len(trace.stages)) == out.final
 
     @settings(deadline=None, max_examples=200)
     @given(data=st.data())
@@ -323,9 +322,12 @@ class TestAgainstNaiveOracle:
             formula.clauses, part, max_stages
         )
         assert trace.initial == part
-        assert [s.index for s in trace.stages] == list(range(1, len(stages) + 1))
-        assert [(s.inferred, s.cumulative) for s in trace.stages] == stages
-        assert trace.conflict == conflict
+        assert [s.inferred for s in trace.stages] == [inf for inf, _ in stages]
+        for m, (_, cumulative) in enumerate(stages, start=1):
+            assert stage_assignment(trace, m) - trace.initial == cumulative
+        last = stages[-1][1] if stages else frozenset()
+        assert stage_assignment(trace, len(stages) + 1) == trace.initial | last
+        assert trace.conflicted == conflict
         assert trace.conflict_stage == conflict_stage
         assert trace.saturated == saturated
 
@@ -334,17 +336,18 @@ class TestAgainstNaiveOracle:
     def test_stages_grow_monotonically(self, formula):
         trace = propagate_staged(formula)
         previous = frozenset()
-        for stage in trace.stages:
+        for m, stage in enumerate(trace.stages, start=1):
+            known = stage_assignment(trace, m)
             assert stage.inferred
-            assert previous < stage.cumulative
-            assert {lit for lit, _ in stage.inferred} <= stage.cumulative
-            previous = stage.cumulative
+            assert previous < known
+            assert {lit for lit, _ in stage.inferred} <= known
+            previous = known
 
     @settings(deadline=None, max_examples=80)
     @given(formula=small_formulas())
     def test_stage_count_is_bounded_without_conflict(self, formula):
         trace = propagate_staged(formula)
-        if not trace.conflict:
+        if not trace.conflicted:
             assert len(trace.stages) <= formula.num_vars + 1
             assert trace.saturated
 
@@ -406,8 +409,11 @@ def test_seeded_and_restricted_runs_match_the_pinned_digest():
                 )
                 staged = (
                     sorted(trace.initial),
-                    [(s.index, s.inferred, sorted(s.cumulative)) for s in trace.stages],
-                    trace.conflict,
+                    [
+                        (m, s.inferred, sorted(stage_assignment(trace, m) - trace.initial))
+                        for m, s in enumerate(trace.stages, start=1)
+                    ],
+                    trace.conflicted,
                     trace.conflict_stage,
                     trace.saturated,
                 )

@@ -68,7 +68,7 @@ class TestContraToProp:
     def test_ladder_dimensions(self):
         m = contra_to_prop(EXAMPLE).map
         assert m.source_num_vars == 4
-        assert m.levels == 5
+        assert {level for _, level in m.aux} == set(range(1, 6))
         assert min(m.aux.values()) == 5
         assert m.output_var == 45
         assert len(m.aux) == 2 * 4 * 5
@@ -143,7 +143,7 @@ class TestContraToProp:
             [3, 5],
             [6],
         ]
-        assert not conflicted.conflict
+        assert not conflicted.conflicted
         quiet = propagate_staged(out.formula, assignment=assignment([1]))
         assert [sorted(lit for lit, _ in s.inferred) for s in quiet.stages] == [
             [2],
@@ -208,9 +208,9 @@ class TestCompose:
         assert len(comp.formula) == 285
         assert comp.formula.num_vars == 153
         first = comp.blocks[0]
-        assert (first.start, first.guard_index) == (3, 49)
+        assert first.guard_index == 49
         assert comp.formula.clauses[first.guard_index] == (-28, -1)
-        assert [b.reduction.map.output_var for b in comp.blocks] == [
+        assert [b.output_var for b in comp.blocks] == [
             28,
             53,
             78,
@@ -226,23 +226,35 @@ class TestCompose:
         for block in comp.blocks:
             guard = comp.formula.clauses[block.guard_index]
             assert set(guard) == {
-                -block.reduction.map.output_var,
+                -block.output_var,
                 -block.literal,
             }
 
     def test_blocks_keep_disjoint_namespaces(self):
         from unitprop.constraints import split_pair_at_most_one
 
-        comp = compose_upac(split_pair_at_most_one([1, 2]), variables=[1, 2])
+        source = split_pair_at_most_one([1, 2])
+        comp = compose_upac(source, variables=[1, 2])
         assert len(comp.blocks) == 4
         assert len(comp.formula) == 190
         assert comp.formula.num_vars == 103
+        n = source.num_vars
         spans = []
+        start = len(source.clauses)
         for block in comp.blocks:
-            m = block.reduction.map
-            ids = set(m.aux.values()) | {m.output_var}
-            assert min(ids) > comp.source.num_vars
-            spans.append(ids)
+            clauses = comp.formula.clauses[start : block.guard_index]
+            # a source variable appears in a block only as the first
+            # literal of an injection clause (v | x(-v,1)), (-v | x(v,1))
+            injection, rest = clauses[: 2 * n], clauses[2 * n :]
+            assert [c[0] for c in injection] == [
+                s * v for v in range(1, n + 1) for s in (1, -1)
+            ]
+            fresh = {abs(lit) for c in injection for lit in c[1:]}
+            fresh |= {abs(lit) for c in rest for lit in c}
+            assert min(fresh) > n
+            assert block.output_var in fresh
+            spans.append(fresh)
+            start = block.guard_index + 1
         for i, a in enumerate(spans):
             for b in spans[i + 1 :]:
                 assert not (a & b)
@@ -283,7 +295,7 @@ class TestCompose:
         part = frozenset(s * v for v, s in enumerate(signs, start=1) if s)
         out = contra_to_prop(source)
         trace = propagate_staged(out.formula, assignment=part)
-        assert not trace.conflict
+        assert not trace.conflicted
         for stage in trace.stages:
             for lit, _ in stage.inferred:
                 assert lit > source.num_vars
