@@ -164,6 +164,28 @@ def _cmd_verify_hm(args: argparse.Namespace) -> int:
     return 0 if verdict.holds else 1
 
 
+# Options that several subcommands take, each defined once: the key
+# holds the flags, the value the add_argument options.
+_SHARED_ARGUMENTS = {
+    "--assign": dict(
+        default="",
+        metavar="LITS",
+        help="partial assignment as DIMACS literals, e.g. \"-2 4\"",
+    ),
+    "--seed": dict(
+        action="store_true",
+        help="seed the assignment directly instead of appending unit clauses",
+    ),
+    "-o --output": dict(metavar="FILE", help="write DIMACS here instead of stdout"),
+    "--limit": dict(type=int, default=None, metavar="N", help="enumeration guard override"),
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(*name.split(), **_SHARED_ARGUMENTS[name])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitprop",
@@ -171,104 +193,79 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_assign(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--assign",
-            default="",
-            metavar="LITS",
-            help="partial assignment as DIMACS literals, e.g. \"-2 4\"",
-        )
+    def add_command(name: str, summary: str, func, **defaults) -> argparse.ArgumentParser:
+        """Every subcommand reads the DIMACS file ``cnf``."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("cnf", help="DIMACS CNF file")
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("propagate", help="run propagation to fixpoint or conflict")
-    p.add_argument("cnf", help="DIMACS CNF file")
-    add_assign(p)
-    p.add_argument(
-        "--seed",
-        action="store_true",
-        help="seed the assignment directly instead of appending unit clauses",
-    )
-    p.set_defaults(func=_cmd_propagate)
+    p = add_command("propagate", "run propagation to fixpoint or conflict", _cmd_propagate)
+    _add_shared(p, "--assign", "--seed")
 
-    p = sub.add_parser("trace", help="print a propagation trace table")
-    p.add_argument("cnf", help="DIMACS CNF file")
-    add_assign(p)
+    p = add_command("trace", "print a propagation trace table", _cmd_trace)
+    _add_shared(p, "--assign")
     p.add_argument("--staged", action="store_true", help="round-by-round table")
-    p.add_argument(
-        "--seed",
-        action="store_true",
-        help="seed the assignment directly instead of appending unit clauses",
-    )
+    _add_shared(p, "--seed")
     p.add_argument(
         "--records",
         action="store_true",
         help="machine-readable lines: RECORD <stage> <clause> <literal>",
     )
     p.add_argument("--max-stages", type=int, default=None, metavar="N")
-    p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser(
+    p = add_command(
         "reduce-c2p",
-        help="build the propagation simulation of a conflict-detecting formula",
+        "build the propagation simulation of a conflict-detecting formula",
+        _cmd_reduce_c2p,
     )
-    p.add_argument("cnf", help="DIMACS CNF file")
-    p.add_argument("-o", "--output", metavar="FILE", help="write DIMACS here instead of stdout")
+    _add_shared(p, "-o --output")
     p.add_argument("--map", metavar="FILE", help="write the literal/level side map here")
     p.add_argument("--first-aux", type=int, default=None, metavar="VAR")
-    p.set_defaults(func=_cmd_reduce_c2p)
 
-    p = sub.add_parser(
-        "reduce-p2c", help="append the negated output literal as a unit clause"
+    p = add_command(
+        "reduce-p2c",
+        "append the negated output literal as a unit clause",
+        _cmd_reduce_p2c,
     )
-    p.add_argument("cnf", help="DIMACS CNF file")
     p.add_argument("--omega", type=int, required=True, metavar="LIT", help="output literal")
-    p.add_argument("-o", "--output", metavar="FILE", help="write DIMACS here instead of stdout")
-    p.set_defaults(func=_cmd_reduce_p2c)
+    _add_shared(p, "-o --output")
 
-    p = sub.add_parser(
+    p = add_command(
         "compose-upac",
-        help="conjoin per-literal simulations and guards onto an encoding",
+        "conjoin per-literal simulations and guards onto an encoding",
+        _cmd_compose_upac,
     )
-    p.add_argument("cnf", help="DIMACS CNF file")
     p.add_argument(
         "--vars",
         default="",
         metavar="VARS",
         help="constraint variables, e.g. \"1 2 3\" (default: whole universe)",
     )
-    p.add_argument("-o", "--output", metavar="FILE", help="write DIMACS here instead of stdout")
-    p.set_defaults(func=_cmd_compose_upac)
+    _add_shared(p, "-o --output")
 
-    def add_verify_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("cnf", help="DIMACS CNF file")
+    for name, summary, checker in (
+        ("verify-upi", "check conflict-exactness against a constraint", is_upi),
+        ("verify-upac", "check conflicts plus forced-literal inference", is_upac),
+    ):
+        p = add_command(name, summary, _cmd_verify, checker=checker)
         p.add_argument(
             "--constraint",
             required=True,
             metavar="SPEC",
             help="'atmost <k> of <n>', 'table <n> <bits>', or 'cnf <path>'",
         )
-        p.add_argument("--limit", type=int, default=None, metavar="N",
-                       help="enumeration guard override")
+        _add_shared(p, "--limit")
 
-    p = sub.add_parser("verify-upi", help="check conflict-exactness against a constraint")
-    add_verify_args(p)
-    p.set_defaults(func=_cmd_verify, checker=is_upi)
-
-    p = sub.add_parser(
-        "verify-upac", help="check conflicts plus forced-literal inference"
+    p = add_command(
+        "verify-hm",
+        "check stage correspondence with the built simulation",
+        _cmd_verify_hm,
     )
-    add_verify_args(p)
-    p.set_defaults(func=_cmd_verify, checker=is_upac)
-
-    p = sub.add_parser(
-        "verify-hm", help="check stage correspondence with the built simulation"
-    )
-    p.add_argument("cnf", help="DIMACS CNF file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--assign", default=None, metavar="LITS")
     group.add_argument("--all", action="store_true", help="sweep every partial assignment")
-    p.add_argument("--limit", type=int, default=None, metavar="N",
-                   help="enumeration guard override")
-    p.set_defaults(func=_cmd_verify_hm)
+    _add_shared(p, "--limit")
 
     return parser
 

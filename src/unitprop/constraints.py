@@ -41,14 +41,6 @@ class Constraint:
     def __post_init__(self) -> None:
         _check_variables(self.variables)
 
-    def satisfied_by(self, complete: frozenset[int]) -> bool:
-        bound = {abs(lit) for lit in complete}
-        if bound != set(self.variables):
-            raise ValueError(
-                f"assignment must bind exactly {sorted(self.variables)}"
-            )
-        return bool(self.sat(complete))
-
 
 @dataclass(frozen=True)
 class MatchingFunction:

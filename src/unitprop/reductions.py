@@ -3,7 +3,8 @@ a matching function under unit propagation.
 
 ``prop_to_contra`` turns an encoding that signals yes by inferring an
 output literal into one that signals yes by deriving a contradiction: it
-appends the negated output as a unit clause.
+restricts the encoding by the negated output, which appends it as a unit
+clause.
 
 ``contra_to_prop`` goes the other way with a staged simulation.  For a
 source over n variables it introduces, per source literal w, a chain of
@@ -26,8 +27,8 @@ chains (emitted in this order):
                itself.
 
 The composition ``compose_upac`` applies that simulation once per
-literal w of the constraint's variables to the source extended with
-(w), then adds a guard clause (-s_w | -w): whenever the block discovers
+literal w of the constraint's variables to the source restricted by
+w, then adds a guard clause (-s_w | -w): whenever the block discovers
 that asserting w would contradict, propagation withdraws w.  This is
 what upgrades conflict-detecting encodings to ones that also infer
 every forced literal.
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .cnf import CnfFormula, _check_universe, _check_variables
+from .cnf import CnfFormula, _check_universe, _check_variables, restrict
 
 
 @dataclass(frozen=True)
@@ -103,14 +104,11 @@ class Composition:
 
 
 def prop_to_contra(formula: CnfFormula, output_lit: int) -> CnfFormula:
-    """Append the negated output literal as a unit clause.
-
-    Grows the formula by exactly one clause of one literal.
+    """Restrict the formula by the negated output literal, which appends
+    it as a unit clause: the formula grows by exactly one clause of one
+    literal.  ``restrict`` refuses -``output_lit`` outside the universe.
     """
-    _check_universe((output_lit,), formula)
-    return CnfFormula(
-        formula.clauses + ((-output_lit,),), num_vars=formula.num_vars
-    )
+    return restrict(formula, (-output_lit,))
 
 
 def _allocate(n: int, first_aux: int) -> tuple[dict[tuple[int, int], int], int]:
@@ -133,7 +131,9 @@ def contra_to_prop(
     source universe and infers the output variable exactly when the
     source, restricted the same way, would conflict.  ``first_aux``
     relocates the fresh-variable block (default: right after the source
-    universe), which keeps namespaces disjoint when composing.
+    universe), which keeps namespaces disjoint when composing.  The
+    family counts are measured: each family is built as its own list
+    and counted by its length.
     """
     n = source.num_vars
     if n == 0:
@@ -147,48 +147,39 @@ def contra_to_prop(
 
     aux, output_var = _allocate(n, first_aux)
     levels = n + 1
-    clauses: list[tuple[int, ...]] = []
+    variables = range(1, n + 1)
+    injection = [
+        clause
+        for v in variables
+        for clause in ((v, aux[(-v, 1)]), (-v, aux[(v, 1)]))
+    ]
+    singles = dict.fromkeys(c[0] for c in source.clauses if len(c) == 1)
+    unit = [(aux[(lit, 1)],) for lit in singles]
+    replication = [
+        (-aux[(lit, i)], aux[(lit, i + 1)])
+        for v in variables
+        for lit in (v, -v)
+        for i in range(1, n + 1)
+    ]
+    deduction = [
+        (aux[(target, i + 1)],)
+        + tuple(-aux[(-other, i)] for other in clause if other != target)
+        for clause in source.clauses
+        if len(clause) >= 2
+        for target in clause
+        for i in range(1, n + 1)
+    ]
+    collection = [
+        (-aux[(v, levels)], -aux[(-v, levels)], output_var) for v in variables
+    ]
 
-    injection = 0
-    for v in range(1, n + 1):
-        clauses.append((v, aux[(-v, 1)]))
-        clauses.append((-v, aux[(v, 1)]))
-        injection += 2
-
-    unit = 0
-    seen_units: set[int] = set()
-    for clause in source.clauses:
-        if len(clause) == 1 and clause[0] not in seen_units:
-            seen_units.add(clause[0])
-            clauses.append((aux[(clause[0], 1)],))
-            unit += 1
-
-    replication = 0
-    for v in range(1, n + 1):
-        for lit in (v, -v):
-            for i in range(1, n + 1):
-                clauses.append((-aux[(lit, i)], aux[(lit, i + 1)]))
-                replication += 1
-
-    deduction = 0
-    for clause in source.clauses:
-        if len(clause) < 2:
-            continue
-        for target in clause:
-            for i in range(1, n + 1):
-                body = tuple(
-                    -aux[(-other, i)] for other in clause if other != target
-                )
-                clauses.append((aux[(target, i + 1)],) + body)
-                deduction += 1
-
-    collection = 0
-    for v in range(1, n + 1):
-        clauses.append((-aux[(v, levels)], -aux[(-v, levels)], output_var))
-        collection += 1
-
-    counts = FamilyCounts(injection, replication, deduction, unit, collection)
-    formula = CnfFormula(clauses, num_vars=output_var)
+    counts = FamilyCounts(
+        len(injection), len(replication), len(deduction), len(unit), len(collection)
+    )
+    formula = CnfFormula(
+        injection + unit + replication + deduction + collection,
+        num_vars=output_var,
+    )
     sim_map = SimulationMap(source_num_vars=n, output_var=output_var, aux=aux)
     return ReductionOutput(
         source=source, formula=formula, map=sim_map, family_counts=counts
@@ -203,7 +194,7 @@ def compose_upac(
 
     For each literal w over ``variables`` (default: the whole source
     universe), in ascending variable order, this conjoins a simulation
-    of "source plus (w)" and the guard (-s_w | -w).  Auxiliary
+    of the source restricted by w and the guard (-s_w | -w).  Auxiliary
     namespaces are allocated back to back so all blocks stay disjoint
     from each other and the source.  Variables must be distinct and
     inside the source universe.
@@ -217,10 +208,7 @@ def compose_upac(
     next_aux = source.num_vars + 1
     for v in sorted(vs):
         for literal in (v, -v):
-            extended = CnfFormula(
-                source.clauses + ((literal,),), num_vars=source.num_vars
-            )
-            red = contra_to_prop(extended, first_aux=next_aux)
+            red = contra_to_prop(restrict(source, (literal,)), first_aux=next_aux)
             output_var = red.map.output_var
             clauses.extend(red.formula.clauses)
             blocks.append(UpacBlock(literal, output_var, len(clauses)))

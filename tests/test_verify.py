@@ -56,6 +56,22 @@ def _counting(q):
     return dataclasses.replace(q, sat=lambda c: calls.append(c) or q.sat(c)), calls
 
 
+def _by_contradiction(formula, q):
+    return computes_by_contradiction(formula, inconsistency_fn(q))
+
+
+def _by_propagation(formula, q):
+    return computes_by_propagation(formula, arc_fn(q, 1), 1)
+
+
+# every sweep of a formula over a constraint's partial assignments
+FORMULA_SWEEPS = pytest.mark.parametrize(
+    "checker",
+    [is_upi, is_upac, _by_contradiction, _by_propagation],
+    ids=["is_upi", "is_upac", "computes_by_contradiction", "computes_by_propagation"],
+)
+
+
 def small_formulas(max_vars=3, max_clauses=4, max_len=3):
     def build(n):
         lit = st.builds(
@@ -126,6 +142,12 @@ class TestComputesByPropagation:
         )
         assert verdict.holds
         assert verdict.checked == 81
+
+    def test_an_output_literal_outside_the_formula_is_refused(self):
+        # the sweep used to report literal 9 "absent" at v1=1, checked=2
+        fn = arc_fn(at_most_k(1, [1, 2]), -2)
+        with pytest.raises(ValueError, match=r"literal 9 outside universe 1\.\.2"):
+            computes_by_propagation(pairwise_at_most_one([1, 2]), fn, 9)
 
 
 class TestUpi:
@@ -226,7 +248,7 @@ class TestUpac:
         )
         assert len(calls) <= 2 ** n
 
-    @pytest.mark.parametrize("checker", [is_upi, is_upac], ids=["is_upi", "is_upac"])
+    @FORMULA_SWEEPS
     def test_an_over_limit_sweep_is_refused_before_the_table(self, checker):
         n = DEFAULT_ENUMERATION_LIMIT + 1
         q, calls = _counting(at_most_k(1, range(1, n + 1)))
@@ -234,10 +256,12 @@ class TestUpac:
             checker(pairwise_at_most_one(range(1, n + 1)), q)
         assert calls == []
 
-    @pytest.mark.parametrize("checker", [is_upi, is_upac], ids=["is_upi", "is_upac"])
+    @FORMULA_SWEEPS
     def test_a_variable_outside_the_formula_is_refused(self, checker):
-        # the sweep used to report FAILS at {} (is_upac) or {-1} (is_upi)
-        # before it reached an assignment binding variable 2
+        # the sweep used to report FAILS at {} (is_upac, and
+        # computes_by_propagation) or {-1} (is_upi, and
+        # computes_by_contradiction) before it reached an assignment
+        # binding variable 2
         q, calls = _counting(truth_table([1, 2], "1111"))
         with pytest.raises(ValueError, match=r"literal 2 outside universe 1\.\.1"):
             checker(CnfFormula([(1,)], num_vars=1), q)
