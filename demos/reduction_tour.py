@@ -39,12 +39,11 @@ print()
 
 # the ladder mirrors the source trace one level per round:
 # x(a,1) fires where a fired, x(c,2) where c fired, and so on
-ladder = out.map.aux
-print("x(a,1)  =", ladder[(1, 1)])
-print("x(~b,1) =", ladder[(-2, 1)])
-print("x(d,1)  =", ladder[(4, 1)])
-print("x(c,2)  =", ladder[(3, 2)])
-print("x(~c,2) =", ladder[(-3, 2)])
+print("x(a,1)  =", out.map.aux(1, 1))
+print("x(~b,1) =", out.map.aux(-2, 1))
+print("x(d,1)  =", out.map.aux(4, 1))
+print("x(c,2)  =", out.map.aux(3, 2))
+print("x(~c,2) =", out.map.aux(-3, 2))
 print()
 
 print("-- source under ~b, d (conflicts at stage 2) --")

@@ -36,14 +36,17 @@ def _read_formula(path: str) -> CnfFormula:
     return parse_dimacs(Path(path).read_text())
 
 
+def _parse_ints(text: str, what: str, expected: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split()]
+    except ValueError:
+        raise ValueError(f"bad {what} syntax {text!r}: expected {expected} integers")
+
+
 def _parse_assign(text: str | None) -> frozenset[int]:
     if not text:
         return frozenset()
-    try:
-        literals = [int(tok) for tok in text.split()]
-    except ValueError:
-        raise ValueError(f"bad assignment syntax {text!r}: expected signed integers")
-    return assignment(literals)
+    return assignment(_parse_ints(text, "assignment", "signed"))
 
 
 def _write_or_print(formula: CnfFormula, output: str | None) -> bool:
@@ -125,9 +128,7 @@ def _cmd_reduce_p2c(args: argparse.Namespace) -> int:
 
 def _cmd_compose_upac(args: argparse.Namespace) -> int:
     source = _read_formula(args.cnf)
-    variables = None
-    if args.vars:
-        variables = [int(tok) for tok in args.vars.split()]
+    variables = _parse_ints(args.vars, "variable list", "positive") if args.vars else None
     composition = compose_upac(source, variables)
     wrote = _write_or_print(composition.formula, args.output)
     if wrote:

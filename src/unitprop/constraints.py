@@ -192,12 +192,14 @@ def enumerate_partials(
 
     ``variables[0]`` is the least significant digit; digit values are
     unbound, positive, negative in that order.  Refuses variables that
-    are not distinct positive integers, and more than ``limit`` of them
-    (``DEFAULT_ENUMERATION_LIMIT`` when None).
+    are not distinct positive integers, a negative ``limit``, and more
+    than ``limit`` of them (``DEFAULT_ENUMERATION_LIMIT`` when None).
     """
     vs = tuple(variables)
     _check_variables(vs)
     bound = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
+    if bound < 0:
+        raise ValueError("limit must be nonnegative")
     if len(vs) > bound:
         raise ValueError(
             f"refusing to enumerate 3^{len(vs)} partial assignments "

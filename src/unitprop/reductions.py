@@ -37,19 +37,33 @@ every forced literal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .cnf import CnfFormula, _check_universe, _check_variables, restrict
 
 
 @dataclass(frozen=True)
 class SimulationMap:
-    """Bookkeeping for one simulation: which fresh variable stands for
-    "source literal, level", plus the output variable."""
+    """Numbering of one simulation's fresh variables, by formula: from
+    ``first_aux`` on, in allocation order (variable, then sign, then
+    level), x(w, level) is first_aux + (2(|w| - 1) + [w < 0])(n + 1) +
+    level - 1.  The output variable follows the 2n(n+1) ladder ids."""
 
     source_num_vars: int
-    output_var: int
-    aux: Mapping[tuple[int, int], int]
+    first_aux: int
+
+    @property
+    def output_var(self) -> int:
+        n = self.source_num_vars
+        return self.first_aux + 2 * n * (n + 1)
+
+    def aux(self, lit: int, level: int) -> int:
+        """x(lit, level); refuses a literal outside ±1..n or a level outside 1..n+1."""
+        n = self.source_num_vars
+        v = abs(lit)
+        if not (0 < v <= n and 0 < level <= n + 1):
+            raise ValueError(f"no ladder variable x({lit}, {level}) over 1..{n}")
+        return self.first_aux + (2 * v - 2 + (lit < 0)) * (n + 1) + level - 1
 
 
 @dataclass(frozen=True)
@@ -111,17 +125,6 @@ def prop_to_contra(formula: CnfFormula, output_lit: int) -> CnfFormula:
     return restrict(formula, (-output_lit,))
 
 
-def _allocate(n: int, first_aux: int) -> tuple[dict[tuple[int, int], int], int]:
-    aux: dict[tuple[int, int], int] = {}
-    nxt = first_aux
-    for v in range(1, n + 1):
-        for lit in (v, -v):
-            for level in range(1, n + 2):
-                aux[(lit, level)] = nxt
-                nxt += 1
-    return aux, nxt
-
-
 def contra_to_prop(
     source: CnfFormula, first_aux: int | None = None
 ) -> ReductionOutput:
@@ -131,9 +134,10 @@ def contra_to_prop(
     source universe and infers the output variable exactly when the
     source, restricted the same way, would conflict.  ``first_aux``
     relocates the fresh-variable block (default: right after the source
-    universe), which keeps namespaces disjoint when composing.  The
-    family counts are measured: each family is built as its own list
-    and counted by its length.
+    universe), which keeps namespaces disjoint when composing.  The map
+    numbers x(w, level) by formula (``SimulationMap.aux``) and stores no
+    table.  The family counts are measured: each family is built as its
+    own list and counted by its length.
     """
     n = source.num_vars
     if n == 0:
@@ -145,33 +149,33 @@ def contra_to_prop(
     elif first_aux <= n:
         raise ValueError(f"first_aux must exceed the source universe ({n})")
 
-    aux, output_var = _allocate(n, first_aux)
+    sim_map = SimulationMap(source_num_vars=n, first_aux=first_aux)
+    x = sim_map.aux
+    output_var = sim_map.output_var
     levels = n + 1
     variables = range(1, n + 1)
     injection = [
         clause
         for v in variables
-        for clause in ((v, aux[(-v, 1)]), (-v, aux[(v, 1)]))
+        for clause in ((v, x(-v, 1)), (-v, x(v, 1)))
     ]
     singles = dict.fromkeys(c[0] for c in source.clauses if len(c) == 1)
-    unit = [(aux[(lit, 1)],) for lit in singles]
+    unit = [(x(lit, 1),) for lit in singles]
     replication = [
-        (-aux[(lit, i)], aux[(lit, i + 1)])
+        (-x(lit, i), x(lit, i + 1))
         for v in variables
         for lit in (v, -v)
         for i in range(1, n + 1)
     ]
     deduction = [
-        (aux[(target, i + 1)],)
-        + tuple(-aux[(-other, i)] for other in clause if other != target)
+        (x(target, i + 1),)
+        + tuple(-x(-other, i) for other in clause if other != target)
         for clause in source.clauses
         if len(clause) >= 2
         for target in clause
         for i in range(1, n + 1)
     ]
-    collection = [
-        (-aux[(v, levels)], -aux[(-v, levels)], output_var) for v in variables
-    ]
+    collection = [(-x(v, levels), -x(-v, levels), output_var) for v in variables]
 
     counts = FamilyCounts(
         len(injection), len(replication), len(deduction), len(unit), len(collection)
@@ -180,7 +184,6 @@ def contra_to_prop(
         injection + unit + replication + deduction + collection,
         num_vars=output_var,
     )
-    sim_map = SimulationMap(source_num_vars=n, output_var=output_var, aux=aux)
     return ReductionOutput(
         source=source, formula=formula, map=sim_map, family_counts=counts
     )
@@ -221,9 +224,13 @@ def compose_upac(
 
 def render_simulation_map(sim_map: SimulationMap) -> str:
     """Serialize to the side-map format: one "x <lit> <level> <var>"
-    line per auxiliary in allocation order, then "s <var>"."""
-    lines = []
-    for (lit, level), var in sorted(sim_map.aux.items(), key=lambda kv: kv[1]):
-        lines.append(f"x {lit} {level} {var}")
+    line per ``sim_map.aux`` id in allocation order, then "s <var>"."""
+    n = sim_map.source_num_vars
+    lines = [
+        f"x {lit} {level} {sim_map.aux(lit, level)}"
+        for v in range(1, n + 1)
+        for lit in (v, -v)
+        for level in range(1, n + 2)
+    ]
     lines.append(f"s {sim_map.output_var}")
     return "\n".join(lines) + "\n"

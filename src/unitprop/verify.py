@@ -251,7 +251,7 @@ def check_stage_correspondence(
             for lit in (v, -v):
                 checked += 1
                 on_source = lit in known_source
-                on_sim = red.map.aux[(lit, m)] in known_sim
+                on_sim = red.map.aux(lit, m) in known_sim
                 if on_source != on_sim:
                     return _fails(
                         checked,

@@ -144,6 +144,20 @@ def table_disagreements(q, weight, table) -> list[tuple[frozenset[int], int | No
     return wrong
 
 
+def reference_ladder(n: int, first_aux: int) -> tuple[dict[tuple[int, int], int], int]:
+    """The simulation's fresh-variable numbering, allocated one by one:
+    ``(lit, level) -> var`` for each variable, then sign, then level from
+    ``first_aux`` on, and the output variable that comes next."""
+    ladder: dict[tuple[int, int], int] = {}
+    nxt = first_aux
+    for v in range(1, n + 1):
+        for lit in (v, -v):
+            for level in range(1, n + 2):
+                ladder[(lit, level)] = nxt
+                nxt += 1
+    return ladder, nxt
+
+
 def _word(flag: bool, yes: str, no: str) -> str:
     return yes if flag else no
 

@@ -122,12 +122,12 @@ def test_criterion_1_golden_trace():
     assert source_trace.conflicted and source_trace.conflict_stage == 2
 
     out = contra_to_prop(EXAMPLE)
-    ladder = out.map.aux
+    x = out.map.aux
     sim_trace = propagate_staged(out.formula, assignment=EXAMPLE_BINDINGS)
     sim1 = {lit for lit, _ in sim_trace.stages[0].inferred}
     sim2 = {lit for lit, _ in sim_trace.stages[1].inferred}
-    assert sim1 == {ladder[(1, 1)], ladder[(-2, 1)], ladder[(4, 1)]}
-    assert {ladder[(3, 2)], ladder[(-3, 2)]} <= sim2
+    assert sim1 == {x(1, 1), x(-2, 1), x(4, 1)}
+    assert {x(3, 2), x(-3, 2)} <= sim2
     output = out.map.output_var
     assert output in stage_assignment(sim_trace, 6)
     assert output not in stage_assignment(sim_trace, 5)

@@ -4,6 +4,7 @@ Exit code convention: 0 for success (fixpoint reached, verdict holds),
 1 for a conflict or a failed verdict, 2 for usage and input errors.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from test_reductions import PINNED_REDUCTION_DIGESTS
 from unitprop import cli
 from unitprop.cli import main
 from unitprop.cnf import CnfFormula, emit_dimacs, parse_dimacs
 from unitprop.constraints import pairwise_at_most_one, split_pair_at_most_one
-from unitprop.reductions import contra_to_prop, render_simulation_map
 
 EXAMPLE = CnfFormula([(1,), (-1, 2, 3), (-3, -4)], num_vars=4)
 
@@ -162,7 +163,8 @@ class TestReduce:
         written = parse_dimacs(sim.read_text())
         assert len(written) == 65
         assert written.num_vars == 45
-        assert side.read_text() == render_simulation_map(contra_to_prop(EXAMPLE).map)
+        side_digest = hashlib.sha256(side.read_bytes()).hexdigest()
+        assert side_digest == PINNED_REDUCTION_DIGESTS["side_map"]
 
     def test_dimacs_to_stdout_without_output_file(self, example_cnf, capsys):
         assert main(["reduce-c2p", example_cnf]) == 0
@@ -212,6 +214,14 @@ class TestCompose:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "distinct positive integers" in captured.err
+
+    def test_unparsable_variable_list(self, amo_cnf, capsys):
+        assert main(["compose-upac", amo_cnf, "--vars", "1 x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bad variable list syntax '1 x': expected positive integers\n"
+        )
 
 
 class TestVerify:
@@ -302,6 +312,13 @@ class TestErrors:
         path.write_text("p cnf 13 1\n1 2 0\n")
         assert main(["verify-hm", str(path), "--all"]) == 2
         assert "refusing to enumerate" in capsys.readouterr().err
+
+    def test_negative_limit(self, amo_cnf, capsys):
+        command = ["verify-upac", amo_cnf, "--constraint", "atmost 1 of 3"]
+        assert main(command + ["--limit", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: limit must be nonnegative\n"
 
 
 def test_installed_entry_point_runs(example_cnf):

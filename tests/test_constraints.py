@@ -304,6 +304,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_partials([1, 2, 3], limit=2)
 
+    @pytest.mark.parametrize("variables", [[1, 2, 3], []])
+    def test_negative_limit_refused(self, variables):
+        with pytest.raises(ValueError, match="^limit must be nonnegative$"):
+            enumerate_partials(variables, limit=-1)
+
     @pytest.mark.parametrize("n", range(7))
     def test_order_matches_the_reference_on_unsorted_variables(self, n):
         vs = (5, 2, 9, 14, 3, 11)[:n]

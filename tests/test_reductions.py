@@ -10,6 +10,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import reference_ladder
 from unitprop.cnf import CnfFormula, assignment, emit_dimacs
 from unitprop.propagate import propagate_staged
 from unitprop.reductions import (
@@ -20,6 +21,17 @@ from unitprop.reductions import (
 )
 
 EXAMPLE = CnfFormula([(1,), (-1, 2, 3), (-3, -4)], num_vars=4)
+
+
+def ladder_ids(m):
+    """Every ladder variable of a map, in allocation order."""
+    n = m.source_num_vars
+    return [
+        m.aux(lit, level)
+        for v in range(1, n + 1)
+        for lit in (v, -v)
+        for level in range(1, n + 2)
+    ]
 
 
 def small_formulas(max_vars=3, max_clauses=4, max_len=3):
@@ -72,21 +84,24 @@ class TestContraToProp:
     def test_ladder_dimensions(self):
         m = contra_to_prop(EXAMPLE).map
         assert m.source_num_vars == 4
-        assert {level for _, level in m.aux} == set(range(1, 6))
-        assert min(m.aux.values()) == 5
+        for level in (0, 6):
+            with pytest.raises(ValueError):
+                m.aux(1, level)
+        ids = ladder_ids(m)
+        assert min(ids) == 5
         assert m.output_var == 45
-        assert len(m.aux) == 2 * 4 * 5
+        assert len(set(ids)) == 2 * 4 * 5
 
     def test_ladder_variable_ids(self):
         m = contra_to_prop(EXAMPLE).map
-        assert m.aux[(1, 1)] == 5
-        assert m.aux[(-1, 1)] == 10
-        assert m.aux[(-2, 1)] == 20
-        assert m.aux[(4, 1)] == 35
-        assert m.aux[(3, 2)] == 26
-        assert m.aux[(-3, 2)] == 31
-        assert m.aux[(1, 5)] == 9
-        assert m.aux[(-4, 5)] == 44
+        assert m.aux(1, 1) == 5
+        assert m.aux(-1, 1) == 10
+        assert m.aux(-2, 1) == 20
+        assert m.aux(4, 1) == 35
+        assert m.aux(3, 2) == 26
+        assert m.aux(-3, 2) == 31
+        assert m.aux(1, 5) == 9
+        assert m.aux(-4, 5) == 44
 
     def test_emission_order_and_shapes(self):
         f = contra_to_prop(EXAMPLE).formula
@@ -156,7 +171,7 @@ class TestContraToProp:
 
     def test_relocated_namespace(self):
         out = contra_to_prop(CnfFormula([(1,)], num_vars=1), first_aux=10)
-        assert min(out.map.aux.values()) == 10
+        assert min(ladder_ids(out.map)) == 10
         assert out.formula.num_vars == out.map.output_var
 
     def test_rejected_sources(self):
@@ -189,7 +204,7 @@ class TestContraToProp:
     @given(source=small_formulas())
     def test_ladder_ids_are_fresh_and_dense(self, source):
         out = contra_to_prop(source)
-        ids = sorted(out.map.aux.values())
+        ids = sorted(ladder_ids(out.map))
         assert ids[0] == source.num_vars + 1
         assert ids == list(range(ids[0], ids[0] + len(ids)))
         assert out.map.output_var == ids[-1] + 1
@@ -201,6 +216,22 @@ class TestSimulationMap:
         assert render_simulation_map(m) == (
             "x 1 1 2\nx 1 2 3\nx -1 1 4\nx -1 2 5\ns 6\n"
         )
+
+    @pytest.mark.parametrize("shift", [1, 7])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_numbering_matches_the_reference(self, n, shift):
+        first_aux = n + shift
+        m = contra_to_prop(CnfFormula([(1,)], num_vars=n), first_aux=first_aux).map
+        ladder, output_var = reference_ladder(n, first_aux)
+        assert {key: m.aux(*key) for key in ladder} == ladder
+        assert m.output_var == output_var
+        in_allocation_order = sorted(ladder.items(), key=lambda item: item[1])
+        assert render_simulation_map(m) == "".join(
+            f"x {lit} {level} {var}\n" for (lit, level), var in in_allocation_order
+        ) + f"s {output_var}\n"
+        for lit, level in ((0, 1), (n + 1, 1), (-n - 1, 1), (1, 0), (-1, n + 2)):
+            with pytest.raises(ValueError, match="no ladder variable"):
+                m.aux(lit, level)
 
 
 class TestCompose:
@@ -311,13 +342,16 @@ def _sha256(text):
 
 # sha256 of each reduction output below, recorded before prop_to_contra
 # and compose_upac appended their unit clauses through restrict and
-# before the family counts were measured from the emitted clauses.
+# before the family counts were measured from the emitted clauses.  The
+# side maps were recorded while the ladder was still a stored table.
 PINNED_REDUCTION_DIGESTS = {
     "contra_to_prop": "fb72bdb12a30b88c6e6cb657f1beaaaf82b577685024efdabd0b6bdafc06c516",
     "prop_to_contra": "f683ebdccf3fead8aa648601a4da4c0c5ed371d551133c7528a194a5eb1651a7",
     "compose_upac": "ccb5f7cc17270e1e7cf018dcd1b863ffb69554906ce4cf2cabfc08b752c244fe",
     "blocks": "ed831243c0d5a479ad5fbb4c98d2e453795f4d2a566891a2632643cc58f81036",
     "family_counts": "bd36c8539256d7abe78f078af53735ad74a54d9133f5981bc0d1da4e05aec604",
+    "side_map": "a67264cfbfcbf0412bd9ccc3b2cbd77a821ed3a1946b826cb34dc1d84ce0b1b6",
+    "side_map_first_aux_50": "c26db3f4f6ea663dd1945e86780be244eb9f4e0996911a32b97a29924cda955e",
 }
 
 
@@ -333,5 +367,9 @@ def test_reduction_outputs_match_the_pinned_digests():
         "compose_upac": _sha256(emit_dimacs(comp.formula)),
         "blocks": _sha256(repr([dataclasses.astuple(b) for b in comp.blocks])),
         "family_counts": _sha256(repr(dataclasses.astuple(red.family_counts))),
+        "side_map": _sha256(render_simulation_map(red.map)),
+        "side_map_first_aux_50": _sha256(
+            render_simulation_map(contra_to_prop(EXAMPLE, first_aux=50).map)
+        ),
     }
     assert got == PINNED_REDUCTION_DIGESTS
