@@ -151,6 +151,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_hm(args: argparse.Namespace) -> int:
+    if not args.all and args.limit is not None:
+        print("error: --limit requires --all", file=sys.stderr)
+        return 2
     formula = _read_formula(args.cnf)
     if args.all:
         reduction = contra_to_prop(formula)

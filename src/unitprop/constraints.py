@@ -185,16 +185,11 @@ def arc_fn(q: Constraint, literal: int) -> MatchingFunction:
     )
 
 
-def enumerate_partials(
-    variables: Iterable[int], limit: int | None = None
-) -> Iterator[frozenset[int]]:
-    """Yield all 3^n partial assignments in ternary counting order.
-
-    ``variables[0]`` is the least significant digit; digit values are
-    unbound, positive, negative in that order.  Refuses variables that
-    are not distinct positive integers, a negative ``limit``, and more
-    than ``limit`` of them (``DEFAULT_ENUMERATION_LIMIT`` when None).
-    """
+def _check_enumeration(
+    variables: Iterable[int], limit: int | None
+) -> tuple[int, ...]:
+    """The variables as a tuple, after the refusals that
+    ``enumerate_partials`` documents."""
     vs = tuple(variables)
     _check_variables(vs)
     bound = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
@@ -205,8 +200,27 @@ def enumerate_partials(
             f"refusing to enumerate 3^{len(vs)} partial assignments "
             f"over {len(vs)} variables (limit {bound})"
         )
+    return vs
+
+
+def _ternary(vs: tuple[int, ...]) -> Iterator[frozenset[int]]:
+    """The partial assignments of checked variables in ternary counting
+    order."""
     digits = ((0, v, -v) for v in reversed(vs))
     return (frozenset(filter(None, lits)) for lits in itertools.product(*digits))
+
+
+def enumerate_partials(
+    variables: Iterable[int], limit: int | None = None
+) -> Iterator[frozenset[int]]:
+    """Yield all 3^n partial assignments in ternary counting order.
+
+    ``variables[0]`` is the least significant digit; digit values are
+    unbound, positive, negative in that order.  Refuses variables that
+    are not distinct positive integers, a negative ``limit``, and more
+    than ``limit`` of them (``DEFAULT_ENUMERATION_LIMIT`` when None).
+    """
+    return _ternary(_check_enumeration(variables, limit))
 
 
 def _universe(count: str) -> range:

@@ -83,6 +83,49 @@ def _index(formula: CnfFormula) -> tuple[Mapping[int, tuple[int, ...]], tuple[in
     return {lit: tuple(idxs) for lit, idxs in occ.items()}, tuple(short)
 
 
+def _extend(
+    clauses: tuple[tuple[int, ...], ...],
+    occ: Mapping[int, tuple[int, ...]],
+    closed: set[int] | frozenset[int],
+    lit: int,
+) -> set[int] | frozenset[int] | None:
+    """The closure of ``closed`` plus ``lit``, or None on a conflict.
+
+    ``closed`` must be a conflict-free closure of ``clauses``, with
+    ``occ`` their occurrence lists from ``_index``.  Then only a clause
+    that holds the negation of a newly assigned literal can have become
+    unit or falsified, so propagation is queued from ``lit`` alone.
+    Whether propagation conflicts, and the closure when it does not, do
+    not depend on the order of inferences, so this agrees with
+    ``propagate_fixpoint`` on any seed whose closure is ``closed``, plus
+    ``lit``.  ``closed`` is never modified: a new literal gets a new
+    set, a known one gets ``closed`` back.
+    """
+    if lit in closed:
+        return closed
+    if -lit in closed:
+        return None
+    known = set(closed)
+    known.add(lit)
+    queue = [lit]
+    for assigned in queue:
+        for idx in occ.get(-assigned, ()):
+            unit = None
+            for other in clauses[idx]:
+                if other in known:
+                    break  # satisfied
+                if -other not in known:
+                    if unit is not None:
+                        break  # two open literals
+                    unit = other
+            else:
+                if unit is None:
+                    return None
+                known.add(unit)
+                queue.append(unit)
+    return known
+
+
 def propagate_fixpoint(
     formula: CnfFormula, assignment: Iterable[int] = ()
 ) -> PropagationOutcome:

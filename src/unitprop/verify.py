@@ -1,11 +1,23 @@
 """Exhaustive checkers for the claimed propagation behaviors.
 
-Every checker sweeps partial assignments in the deterministic
-enumeration order and reports the first mismatch as a counterexample.
-Expected values never come from the engine under test: they come from
-a matching function, from a constraint's consistency table, built once
-per ``is_upi``/``is_upac`` sweep, or from the source formula.  Sweeps
-seed rather than restrict: the two agree on conflict and on closure.
+Every checker sweeps partial assignments in ternary counting order
+(``enumerate_partials``) and reports the first mismatch as a
+counterexample.  Expected values never come from the engine under
+test: they come from a matching function, from a constraint's
+consistency table, built once per ``is_upi``/``is_upac`` sweep, or from
+the source formula.  Sweeps seed rather than restrict: the two agree on
+conflict and on closure.
+
+``is_upi`` and ``is_upac`` walk the same order depth first.  Each
+assignment binds one variable more than its parent in the walk, so its
+closure is the parent's extended by one literal, not a propagation from
+scratch.  A conflict persists when the seed grows, and so does
+falsifying the constraint, so where an assignment both conflicts and
+falsifies the constraint, so does every extension of it: that block is
+counted as checked and never visited.  ``computes_by_*`` and
+``verify-hm --all`` keep the plain ``sweep``: a matching function need
+not be monotone, and a stage-correspondence check reads staged timing,
+which an extended closure does not keep.
 """
 
 from __future__ import annotations
@@ -17,10 +29,12 @@ from .cnf import CnfFormula, _check_universe, restrict
 from .constraints import (
     Constraint,
     MatchingFunction,
+    _check_enumeration,
     _consistency_table,
+    _ternary,
     enumerate_partials,
 )
-from .propagate import propagate_fixpoint, propagate_staged
+from .propagate import _extend, _index, propagate_fixpoint, propagate_staged
 from .reductions import ReductionOutput, contra_to_prop
 
 # Largest measured ratio size(simulation) / (n^2 * size(source)); the
@@ -77,11 +91,13 @@ def _mismatch(
     words: tuple[str, str],
     expected: bool,
     literal: int | None = None,
+    checked: int = 1,
 ) -> Verdict:
-    """The failure of one assignment.  ``words`` names the yes and the no
-    answer; what was observed is the one that was not expected."""
+    """The failure of one assignment, the ``checked``-th of its sweep.
+    ``words`` names the yes and the no answer; what was observed is the
+    one that was not expected."""
     want, got = words if expected else words[::-1]
-    return _fails(1, I, want, got, literal)
+    return _fails(checked, I, want, got, literal)
 
 
 def sweep(
@@ -96,15 +112,15 @@ def sweep(
     return _sweep(enumerate_partials(variables, limit), check)
 
 
-def _partials(
-    formula: CnfFormula, variables: tuple[int, ...], limit: int | None
-) -> Iterable[frozenset[int]]:
-    """The assignments of a sweep that runs ``formula`` over the partial
-    assignments of ``variables``.  Refuses more variables than ``limit``
-    first, then a variable outside the formula, before any is checked."""
-    assignments = enumerate_partials(variables, limit)
-    _check_universe(variables, formula)
-    return assignments
+def _check_sweep(
+    formula: CnfFormula, variables: Iterable[int], limit: int | None
+) -> tuple[int, ...]:
+    """The variables of a sweep that runs ``formula`` over their partial
+    assignments.  Refuses more variables than ``limit`` first, then a
+    variable outside the formula, before any assignment is checked."""
+    vs = _check_enumeration(variables, limit)
+    _check_universe(vs, formula)
+    return vs
 
 
 def _sweep(
@@ -134,7 +150,7 @@ def computes_by_contradiction(
             return _mismatch(I, _CONFLICT, expected)
         return _HOLDS
 
-    return _sweep(_partials(formula, fn.variables, limit), check)
+    return _sweep(_ternary(_check_sweep(formula, fn.variables, limit)), check)
 
 
 def computes_by_propagation(
@@ -147,7 +163,7 @@ def computes_by_propagation(
     exactly where the function says yes?  An over-limit sweep, a
     variable of ``fn`` outside the formula and an output literal
     outside it are refused before the first evaluation."""
-    assignments = _partials(formula, fn.variables, limit)
+    assignments = _ternary(_check_sweep(formula, fn.variables, limit))
     _check_universe((output_lit,), formula)
 
     def check(I: frozenset[int]) -> Verdict:
@@ -190,28 +206,54 @@ def _against_table(
     """The sweep of ``is_upi`` and ``is_upac``: each assignment's
     conflict, and with ``forced_literals`` its inferred literals, against
     ``q``'s consistency table.  An over-limit sweep and a variable of
-    ``q`` outside the formula are refused before the table is built."""
-    assignments = _partials(formula, q.variables, limit)
+    ``q`` outside the formula are refused before the table is built.
+
+    The assignments are walked depth first.  With ``v_k`` the k-th
+    variable of ``q``, the block of an assignment ``I`` over its lowest
+    ``j`` digits is ``I`` itself, then for k = 0..j-1 the block of
+    ``I + v_k`` over k digits followed by that of ``I - v_k``; the
+    block of ``{}`` over every digit is ternary counting order.  A
+    child's closure extends its parent's by one literal.  Where ``I``
+    both conflicts and falsifies ``q``, so does every extension of it,
+    and each would hold: the whole block counts as checked, unvisited.
+    """
+    vs = _check_sweep(formula, q.variables, limit)
     weight, table = _consistency_table(q)
-
-    def check(I: frozenset[int]) -> Verdict:
-        code = sum(weight[lit] for lit in I)
-        out = propagate_fixpoint(formula, I)
+    clauses = formula.clauses
+    occ, _ = _index(formula)
+    root = propagate_fixpoint(formula)
+    literals = [(v, weight[v], weight[-v]) for v in vs]
+    checked = 0
+    # (parent's assignment, parent's closure, literal added or 0 at the
+    # root, code, number of unbound low digits); children are pushed
+    # in reverse, so that they are popped in block order
+    stack = [(frozenset(), None if root.conflicted else root.final, 0, 0, len(vs))]
+    while stack:
+        I, closed, added, code, j = stack.pop()
+        if added:
+            I = I | {added}
+            closed = _extend(clauses, occ, closed, added)
         falsified = not table[code]
-        if out.conflicted != falsified:
-            return _mismatch(I, _CONFLICT, falsified)
-        if falsified or not forced_literals:
-            return _HOLDS
-        for v in q.variables:
-            if v in I or -v in I:
-                continue
-            for lit in (v, -v):
-                forced = not table[code + weight[-lit]]
-                if (lit in out.final) != forced:
-                    return _mismatch(I, _INFERRED, forced, lit)
-        return _HOLDS
-
-    return _sweep(assignments, check)
+        if (closed is None) != falsified:
+            return _mismatch(I, _CONFLICT, falsified, checked=checked + 1)
+        if falsified:
+            checked += 3 ** j
+            continue
+        if forced_literals:
+            for v, plus, minus in literals:
+                if v in I or -v in I:
+                    continue
+                # v is forced iff I - v falsifies q, and -v iff I + v does
+                for lit, child in ((v, minus), (-v, plus)):
+                    forced = not table[code + child]
+                    if (lit in closed) != forced:
+                        return _mismatch(I, _INFERRED, forced, lit, checked + 1)
+        checked += 1
+        for k in range(j - 1, -1, -1):
+            v, plus, minus = literals[k]
+            stack.append((I, closed, -v, code + minus, k))
+            stack.append((I, closed, v, code + plus, k))
+    return Verdict(True, checked)
 
 
 def check_stage_correspondence(

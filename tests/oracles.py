@@ -4,12 +4,14 @@ Deliberately naive: set-based loops and full truth-table scans, sharing
 no code with the library.  If these disagree with the engines, the
 engines are wrong.
 
-The one exception is the restricting sweeps at the end.  Restricting the
-formula by each assignment and then propagating is the definition the
-seeded verifiers must match, so those sweeps call the library's
+The exceptions are the sweeps at the end.  Restricting the formula by
+each assignment and then propagating is the definition the seeded
+verifiers must match, so the restricting sweeps call the library's
 ``restrict`` and fixpoint engine.  They return ``(holds, checked,
 failure)`` with ``failure`` as ``(assignment, expected, observed,
-literal)`` or None.
+literal)`` or None.  ``seeded_against_table`` is the sweep of
+``is_upi``/``is_upac`` before the walk, one seeded propagation from
+scratch per assignment; it returns the library's ``Verdict``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from unitprop.cnf import restrict
+from unitprop.constraints import _consistency_table, enumerate_partials
 from unitprop.propagate import propagate_fixpoint
+from unitprop.verify import Counterexample, Verdict
 
 
 def naive_unit_closure(
@@ -249,3 +253,47 @@ def restricting_upac(formula, q):
                         lit,
                     )
     return True, checked, None
+
+
+def seeded_against_table(formula, q, forced_literals: bool) -> Verdict:
+    """``is_upac``, or ``is_upi`` without ``forced_literals``, one
+    assignment at a time: each assignment of ``enumerate_partials`` is
+    seeded and propagated from scratch, and its expected answers are read
+    from ``q``'s consistency table."""
+    weight, table = _consistency_table(q)
+
+    def failed(checked, part, expected, observed, literal=None):
+        return Verdict(
+            False, checked, Counterexample(part, expected, observed, literal)
+        )
+
+    checked = 0
+    for part in enumerate_partials(q.variables):
+        checked += 1
+        code = sum(weight[lit] for lit in part)
+        out = propagate_fixpoint(formula, part)
+        falsified = not table[code]
+        if out.conflicted != falsified:
+            return failed(
+                checked,
+                part,
+                _word(falsified, "conflict", "no-conflict"),
+                _word(out.conflicted, "conflict", "no-conflict"),
+            )
+        if falsified or not forced_literals:
+            continue
+        for v in q.variables:
+            if v in part or -v in part:
+                continue
+            for lit in (v, -v):
+                forced = not table[code + weight[-lit]]
+                inferred = lit in out.final
+                if forced != inferred:
+                    return failed(
+                        checked,
+                        part,
+                        _word(forced, "inferred", "absent"),
+                        _word(inferred, "inferred", "absent"),
+                        lit,
+                    )
+    return Verdict(True, checked)

@@ -252,6 +252,14 @@ class TestVerify:
         assert main(["verify-hm", example_cnf, "--all"]) == 0
         assert capsys.readouterr().out.splitlines() == ["HOLDS checked=3240"]
 
+    @pytest.mark.parametrize("limit", ["-1", "5"])
+    def test_hm_limit_requires_all(self, example_cnf, capsys, limit):
+        argv = ["verify-hm", example_cnf, "--assign", "-2 4", "--limit", limit]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --limit requires --all\n"
+
     def test_hm_requires_a_mode(self, example_cnf, capsys):
         assert main(["verify-hm", example_cnf]) == 2
         assert "--assign --all is required" in capsys.readouterr().err

@@ -9,12 +9,14 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import naive_stages, naive_unit_closure
 from unitprop.cnf import CnfFormula, assignment, restrict
 from unitprop.constraints import enumerate_partials
 from unitprop.propagate import (
+    _extend,
+    _index,
     infers,
     propagate_fixpoint,
     propagate_staged,
@@ -23,6 +25,7 @@ from unitprop.propagate import (
     stage_assignment,
     trace_records,
 )
+from unitprop.reductions import contra_to_prop
 
 EXAMPLE = CnfFormula([(1,), (-1, 2, 3), (-3, -4)], num_vars=4)
 EXAMPLE_BINDINGS = assignment([-2, 4])
@@ -299,6 +302,43 @@ class TestAgainstNaiveOracle:
         assert seeded.conflicted == restricted.conflicted
         if not seeded.conflicted:
             assert seeded.final == restricted.final
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_extending_a_closure_equals_propagating_from_scratch(self, data):
+        formula = data.draw(small_formulas())
+        part = data.draw(partial_assignments(formula))
+        parent = propagate_fixpoint(formula, part)
+        assume(not parent.conflicted)
+        occ, _ = _index(formula)
+        for v in formula.variables:
+            if v in part or -v in part:
+                continue
+            for lit in (v, -v):
+                extended = _extend(formula.clauses, occ, parent.final, lit)
+                conflict, closure = naive_unit_closure(formula.clauses, part | {lit})
+                assert (extended is None) == conflict
+                if not conflict:
+                    assert extended == closure
+
+    @pytest.mark.parametrize("simulated", [False, True], ids=["source", "simulation"])
+    def test_extending_every_closure_of_the_example(self, simulated):
+        # the simulation's ladders chain one inference after another
+        formula = contra_to_prop(EXAMPLE).formula if simulated else EXAMPLE
+        occ, _ = _index(formula)
+        for part in enumerate_partials(EXAMPLE.variables):
+            parent = propagate_fixpoint(formula, part)
+            if parent.conflicted:
+                continue
+            for v in EXAMPLE.variables:
+                if v in part or -v in part:
+                    continue
+                for lit in (v, -v):
+                    extended = _extend(formula.clauses, occ, parent.final, lit)
+                    out = propagate_fixpoint(formula, part | {lit})
+                    assert (extended is None) == out.conflicted
+                    if not out.conflicted:
+                        assert extended == out.final
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())

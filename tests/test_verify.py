@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from oracles import (
     restricting_by_propagation,
     restricting_upac,
     restricting_upi,
+    seeded_against_table,
 )
 from unitprop import propagate, verify
 from unitprop.cnf import CnfFormula, assignment, restrict
@@ -18,6 +20,7 @@ from unitprop.constraints import (
     DEFAULT_ENUMERATION_LIMIT,
     arc_fn,
     at_most_k,
+    binomial_at_most_k,
     enumerate_partials,
     inconsistency_fn,
     pairwise_at_most_one,
@@ -358,17 +361,95 @@ def _outcome(verdict):
     return verdict.holds, verdict.checked, failure
 
 
+def _projection(formula, variables):
+    """Table bits: is this complete assignment of ``variables`` part of a
+    model of ``formula``?  By brute force over 1..n."""
+    models = []
+    for signs in itertools.product((1, -1), repeat=formula.num_vars):
+        model = {s * v for s, v in zip(signs, formula.variables)}
+        if all(model.intersection(clause) for clause in formula.clauses):
+            models.append(model)
+    bits = ""
+    for code in range(2 ** len(variables)):
+        part = {v if code >> j & 1 else -v for j, v in enumerate(variables)}
+        bits += "1" if any(part <= model for model in models) else "0"
+    return bits
+
+
 @st.composite
 def formula_and_table(draw):
-    formula = draw(small_formulas(max_vars=4, max_clauses=6))
+    """A formula over 1..n, now and then with the empty clause, and a
+    table constraint over some of 1..n in any order: either random bits,
+    or the formula's own projection, under which fewer sweeps fail at
+    their first assignments."""
+    n = draw(st.integers(1, 5))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    # binary clauses make chains of inferences likely
+    clause = st.one_of(
+        st.lists(lit, min_size=2, max_size=2), st.lists(lit, min_size=1, max_size=3)
+    )
+    clauses = draw(st.lists(clause, max_size=8))
+    if draw(st.integers(0, 9)) == 0:
+        clauses.insert(draw(st.integers(0, len(clauses))), [])
+    formula = CnfFormula(clauses, num_vars=n)
     variables = draw(
-        st.lists(
-            st.integers(1, formula.num_vars), unique=True, min_size=1, max_size=3
-        )
+        st.lists(st.integers(1, n), unique=True, min_size=1, max_size=min(n, 4))
     )
     width = 2 ** len(variables)
-    bits = draw(st.text("01", min_size=width, max_size=width))
+    if draw(st.booleans()):
+        bits = _projection(formula, variables)
+    else:
+        bits = draw(st.text("01", min_size=width, max_size=width))
     return formula, truth_table(variables, bits)
+
+
+def _assert_walk_matches_references(formula, q):
+    """The walk against the seeded per-assignment sweep, by ``Verdict``
+    equality, and against the restricting sweeps."""
+    upi, upac = is_upi(formula, q), is_upac(formula, q)
+    assert upi == seeded_against_table(formula, q, forced_literals=False)
+    assert upac == seeded_against_table(formula, q, forced_literals=True)
+    assert _outcome(upi) == restricting_upi(formula, q)
+    assert _outcome(upac) == restricting_upac(formula, q)
+    return upi, upac
+
+
+ROOT_CONFLICT = Verdict(
+    False, 1, verify.Counterexample(frozenset(), "no-conflict", "conflict")
+)
+# (formula, constraint, pinned is_upi verdict, pinned is_upac verdict)
+WALK_EDGE_CASES = {
+    "empty clause, constraint unsatisfiable": (
+        CnfFormula([(1, 2), ()], num_vars=2),
+        truth_table([1, 2], "0000"),
+        Verdict(True, 9),
+        Verdict(True, 9),
+    ),
+    "empty clause, constraint satisfiable": (
+        CnfFormula([()], num_vars=2),
+        truth_table([2, 1], "0111"),
+        ROOT_CONFLICT,
+        ROOT_CONFLICT,
+    ),
+    "conflict at the root from unit clauses": (
+        CnfFormula([(1,), (-1, 3), (-3,)], num_vars=3),
+        truth_table([3, 2], "0000"),
+        Verdict(True, 9),
+        Verdict(True, 9),
+    ),
+    "variables in unsorted order": (
+        pairwise_at_most_one([1, 2, 3, 4]),
+        at_most_k(1, [3, 1, 4, 2]),
+        Verdict(True, 81),
+        Verdict(True, 81),
+    ),
+    "formula wider than the constraint": (
+        compose_upac(pairwise_at_most_one([1, 2, 3])).formula,
+        at_most_k(1, [3, 2]),
+        Verdict(True, 9),
+        Verdict(True, 9),
+    ),
+}
 
 
 class TestSeededSweepsMatchRestriction:
@@ -376,8 +457,7 @@ class TestSeededSweepsMatchRestriction:
     @given(case=formula_and_table(), data=st.data())
     def test_same_verdicts_as_the_restricting_sweeps(self, case, data):
         formula, q = case
-        assert _outcome(is_upi(formula, q)) == restricting_upi(formula, q)
-        assert _outcome(is_upac(formula, q)) == restricting_upac(formula, q)
+        _assert_walk_matches_references(formula, q)
         lit = data.draw(st.sampled_from(q.variables)) * data.draw(
             st.sampled_from([1, -1])
         )
@@ -391,12 +471,110 @@ class TestSeededSweepsMatchRestriction:
                 computes_by_contradiction(formula, fn)
             ) == restricting_by_contradiction(formula, fn)
 
+    @pytest.mark.parametrize(
+        "formula, q, upi, upac", WALK_EDGE_CASES.values(), ids=WALK_EDGE_CASES
+    )
+    def test_edge_cases(self, formula, q, upi, upac):
+        assert _assert_walk_matches_references(formula, q) == (upi, upac)
+
+    @pytest.mark.parametrize(
+        "base, q",
+        [
+            (pairwise_at_most_one([1, 2, 3]), AMO3),
+            (split_pair_at_most_one([1, 2, 3]), AMO3),
+            (binomial_at_most_k([1, 2, 3, 4], 2), at_most_k(2, [1, 2, 3, 4])),
+        ],
+        ids=["pairwise", "split_pair", "binomial"],
+    )
+    def test_compositions_and_their_guard_deletions(self, base, q):
+        # deep sweeps whose inferences run through chains of ladder
+        # variables outside q
+        comp = compose_upac(base, q.variables)
+        clauses = comp.formula.clauses
+        for formula in [base, comp.formula] + [
+            CnfFormula(
+                clauses[: b.guard_index] + clauses[b.guard_index + 1 :],
+                num_vars=comp.formula.num_vars,
+            )
+            for b in comp.blocks
+        ]:
+            assert is_upi(formula, q) == seeded_against_table(formula, q, False)
+            assert is_upac(formula, q) == seeded_against_table(formula, q, True)
+
     def test_split_pair_failure_is_pinned(self):
         formula = split_pair_at_most_one([1, 2])
         q = at_most_k(1, [1, 2])
         pinned = (False, 2, (frozenset({1}), "inferred", "absent", -2))
         assert restricting_upac(formula, q) == pinned
         assert _outcome(is_upac(formula, q)) == pinned
+        assert is_upac(formula, q) == seeded_against_table(formula, q, True)
+
+
+class TestWalk:
+    """Each test here fails under one wrong way to write the walk."""
+
+    def test_a_falsified_assignment_must_also_conflict(self):
+        # the skip needs both: pairwise over 1..3 without (-1 | -2)
+        # falsifies {1, 2} without a conflict
+        formula = CnfFormula([(-1, -3), (-2, -3)], num_vars=3)
+        verdict = is_upi(formula, at_most_k(1, [1, 2, 3]))
+        assert _outcome(verdict) == (
+            False, 5, (frozenset({1, 2}), "conflict", "no-conflict", None)
+        )
+
+    def test_a_skipped_block_counts_each_of_its_assignments(self):
+        # the sweep skips blocks of 1, 3 and 9 assignments, for example
+        # at {1, 2}, {2, 3} and {3, 4}; without (-1 | -4) the first
+        # failure, {1, 4}, follows skips of 1 and 3
+        formula = pairwise_at_most_one([1, 2, 3, 4])
+        q = at_most_k(1, [1, 2, 3, 4])
+        assert is_upi(formula, q) == Verdict(True, 81)
+        assert is_upac(formula, q) == Verdict(True, 81)
+        without = CnfFormula(
+            [c for c in formula.clauses if c != (-1, -4)], num_vars=4
+        )
+        assert _outcome(is_upi(without, q)) == (
+            False, 3 ** 3 + 2, (frozenset({1, 4}), "conflict", "no-conflict", None)
+        )
+
+    def test_positive_children_come_before_negative_ones(self):
+        # with no clauses, the first falsified assignment in counting
+        # order is {1, 2}; visiting -v before v would reach {-1, 2} first
+        verdict = is_upi(CnfFormula([], num_vars=2), at_most_k(1, [1, 2]))
+        assert _outcome(verdict) == (
+            False, 5, (frozenset({1, 2}), "conflict", "no-conflict", None)
+        )
+
+    def test_a_literal_against_the_parents_closure_conflicts(self):
+        # {2} infers -1, so extending it by 1 must conflict
+        q = at_most_k(1, [1, 2])
+        assert is_upi(pairwise_at_most_one([1, 2]), q) == Verdict(True, 9)
+
+    def test_derived_literals_propagate_onward(self):
+        # 2 infers 3 through (-2 | 3), and 3 infers -1 through (-3 | -1)
+        formula = CnfFormula([(-2, 3), (-3, -1)], num_vars=3)
+        assert is_upac(formula, at_most_k(1, [1, 2])) == Verdict(True, 9)
+
+    def test_a_walk_leaves_no_reference_cycle(self):
+        # a cycle would keep each sweep's index alive until the cyclic
+        # collector runs
+        formula = compose_upac(pairwise_at_most_one(range(1, 5))).formula
+        q = at_most_k(1, range(1, 5))
+        gc.collect()
+        gc.disable()
+        try:
+            assert is_upac(formula, q).holds
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
+
+    def test_the_frontier_at_the_default_limit(self):
+        n = DEFAULT_ENUMERATION_LIMIT
+        verdict = is_upac(
+            pairwise_at_most_one(range(1, n + 1)), at_most_k(1, range(1, n + 1))
+        )
+        assert verdict == Verdict(True, 3 ** n)
 
 
 class TestSizeBound:
