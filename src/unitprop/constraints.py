@@ -128,27 +128,32 @@ def _consistency_table(q: Constraint) -> tuple[dict[int, int], bytearray]:
     ``variables[j]`` as digit j, a positive literal weighs 3^j and a
     negative one 2*3^j, so codes follow ``enumerate_partials`` order.
     ``table[code]`` is 1 iff some complete extension satisfies ``q``.
-    ``q.sat`` runs once per complete assignment; every other code is
-    filled in descending order from the two ways of binding its lowest
-    unbound digit, which have larger codes.
+
+    The table is built one digit at a time.  ``q.sat`` runs once per
+    complete assignment, in binary counting order with digit 0 fastest
+    and positive before negative: 2^n blocks of one byte each.  Binding
+    digit j, each adjacent pair of blocks, digit j positive then
+    negative over the same higher digits, joins into one block of the
+    next size: unbound, then positive, then negative, where unbound is
+    the bytewise OR of the other two.
     """
     weight: dict[int, int] = {}
     for j, v in enumerate(q.variables):
         weight[v] = 3 ** j
         weight[-v] = 2 * 3 ** j
-    size = 3 ** len(q.variables)
-    table = bytearray(size)
-    for complete in itertools.product(*((v, -v) for v in q.variables)):
-        code = sum(weight[lit] for lit in complete)
-        table[code] = bool(q.sat(frozenset(complete)))
-    for code in range(size - 1, -1, -1):
-        step, rest = 1, code
-        while rest % 3:
-            step *= 3
-            rest //= 3
-        if step < size:
-            table[code] = table[code + step] | table[code + 2 * step]
-    return weight, table
+    blocks = [
+        b"\1" if q.sat(frozenset(complete)) else b"\0"
+        for complete in itertools.product(*((v, -v) for v in reversed(q.variables)))
+    ]
+    size = 1
+    for _ in q.variables:
+        joined = []
+        for plus, minus in zip(blocks[::2], blocks[1::2]):
+            unbound = int.from_bytes(plus, "little") | int.from_bytes(minus, "little")
+            joined.append(unbound.to_bytes(size, "little") + plus + minus)
+        blocks = joined
+        size *= 3
+    return weight, bytearray(blocks[0])
 
 
 def inconsistency_fn(q: Constraint) -> MatchingFunction:

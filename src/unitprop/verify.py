@@ -216,44 +216,62 @@ def _against_table(
     child's closure extends its parent's by one literal.  Where ``I``
     both conflicts and falsifies ``q``, so does every extension of it,
     and each would hold: the whole block counts as checked, unvisited.
+
+    A node is its code, not its set of literals.  Its digits below
+    ``j`` are unbound, and it carries its unbound digits at or above
+    ``j``: for the child at digit k, digits k+1..j-1 and the parent's.
+    The forced-literal check runs over those two runs of digits.  The
+    assignment is decoded from the code only for a counterexample.
     """
     vs = _check_sweep(formula, q.variables, limit)
     weight, table = _consistency_table(q)
     clauses = formula.clauses
     occ, _ = _index(formula)
     root = propagate_fixpoint(formula)
-    literals = [(v, weight[v], weight[-v]) for v in vs]
+    literals = tuple((v, weight[v], weight[-v]) for v in vs)
     checked = 0
-    # (parent's assignment, parent's closure, literal added or 0 at the
-    # root, code, number of unbound low digits); children are pushed
-    # in reverse, so that they are popped in block order
-    stack = [(frozenset(), None if root.conflicted else root.final, 0, 0, len(vs))]
+    # (parent's closure, literal added or 0 at the root, code, number of
+    # unbound low digits, unbound digits above them); children are
+    # pushed in reverse, so that they are popped in block order
+    stack = [(None if root.conflicted else root.final, 0, 0, len(vs), ())]
     while stack:
-        I, closed, added, code, j = stack.pop()
+        closed, added, code, j, high = stack.pop()
         if added:
-            I = I | {added}
             closed = _extend(clauses, occ, closed, added)
         falsified = not table[code]
         if (closed is None) != falsified:
+            I = _decode(vs, code)
             return _mismatch(I, _CONFLICT, falsified, checked=checked + 1)
         if falsified:
             checked += 3 ** j
             continue
         if forced_literals:
-            for v, plus, minus in literals:
-                if v in I or -v in I:
-                    continue
-                # v is forced iff I - v falsifies q, and -v iff I + v does
-                for lit, child in ((v, minus), (-v, plus)):
-                    forced = not table[code + child]
-                    if (lit in closed) != forced:
-                        return _mismatch(I, _INFERRED, forced, lit, checked + 1)
+            for unbound in (literals[:j], high):
+                for v, plus, minus in unbound:
+                    # v is forced iff I - v falsifies q, and -v iff I + v does
+                    for lit, child in ((v, minus), (-v, plus)):
+                        forced = not table[code + child]
+                        if (lit in closed) != forced:
+                            I = _decode(vs, code)
+                            return _mismatch(I, _INFERRED, forced, lit, checked + 1)
         checked += 1
         for k in range(j - 1, -1, -1):
             v, plus, minus = literals[k]
-            stack.append((I, closed, -v, code + minus, k))
-            stack.append((I, closed, v, code + plus, k))
+            above = literals[k + 1 : j] + high
+            stack.append((closed, -v, code + minus, k, above))
+            stack.append((closed, v, code + plus, k, above))
     return Verdict(True, checked)
+
+
+def _decode(vs: tuple[int, ...], code: int) -> frozenset[int]:
+    """The partial assignment of ``vs`` whose consistency-table code is
+    ``code``: digit j is ``vs[j]`` unbound, positive or negative."""
+    I = []
+    for v in vs:
+        code, digit = divmod(code, 3)
+        if digit:
+            I.append(v if digit == 1 else -v)
+    return frozenset(I)
 
 
 def check_stage_correspondence(

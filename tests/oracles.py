@@ -11,7 +11,8 @@ verifiers must match, so the restricting sweeps call the library's
 failure)`` with ``failure`` as ``(assignment, expected, observed,
 literal)`` or None.  ``seeded_against_table`` is the sweep of
 ``is_upi``/``is_upac`` before the walk, one seeded propagation from
-scratch per assignment; it returns the library's ``Verdict``.
+scratch per assignment, reading ``reference_consistency_table``; it
+returns the library's ``Verdict``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from unitprop.cnf import restrict
-from unitprop.constraints import _consistency_table, enumerate_partials
+from unitprop.constraints import enumerate_partials
 from unitprop.propagate import propagate_fixpoint
 from unitprop.verify import Counterexample, Verdict
 
@@ -148,6 +149,32 @@ def table_disagreements(q, weight, table) -> list[tuple[frozenset[int], int | No
     return wrong
 
 
+def reference_consistency_table(q) -> tuple[dict[int, int], bytearray]:
+    """The consistency table filled one code at a time, the definition
+    the library's digit-by-digit fill is held to.  Weights and codes are
+    those of ``table_disagreements``.  ``q.sat`` runs once per complete
+    assignment; every other code is filled in descending order from the
+    two ways of binding its lowest unbound digit, which have larger
+    codes."""
+    weight: dict[int, int] = {}
+    for j, v in enumerate(q.variables):
+        weight[v] = 3 ** j
+        weight[-v] = 2 * 3 ** j
+    size = 3 ** len(q.variables)
+    table = bytearray(size)
+    for complete in itertools.product(*((v, -v) for v in q.variables)):
+        code = sum(weight[lit] for lit in complete)
+        table[code] = bool(q.sat(frozenset(complete)))
+    for code in range(size - 1, -1, -1):
+        step, rest = 1, code
+        while rest % 3:
+            step *= 3
+            rest //= 3
+        if step < size:
+            table[code] = table[code + step] | table[code + 2 * step]
+    return weight, table
+
+
 def reference_ladder(n: int, first_aux: int) -> tuple[dict[tuple[int, int], int], int]:
     """The simulation's fresh-variable numbering, allocated one by one:
     ``(lit, level) -> var`` for each variable, then sign, then level from
@@ -259,8 +286,8 @@ def seeded_against_table(formula, q, forced_literals: bool) -> Verdict:
     """``is_upac``, or ``is_upi`` without ``forced_literals``, one
     assignment at a time: each assignment of ``enumerate_partials`` is
     seeded and propagated from scratch, and its expected answers are read
-    from ``q``'s consistency table."""
-    weight, table = _consistency_table(q)
+    from ``q``'s reference consistency table."""
+    weight, table = reference_consistency_table(q)
 
     def failed(checked, part, expected, observed, literal=None):
         return Verdict(

@@ -6,7 +6,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import scan_falsifies, table_disagreements, ternary_partials
+from oracles import (
+    reference_consistency_table,
+    scan_falsifies,
+    table_disagreements,
+    ternary_partials,
+)
 from unitprop.cnf import CnfFormula, emit_dimacs
 from unitprop.constraints import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -132,6 +137,15 @@ class TestFalsifies:
             assert falsifies(q, full) == (not q.sat(full))
 
 
+@st.composite
+def cnf_constraints(draw):
+    """A formula over 1..n, n up to 4, read as a constraint."""
+    n = draw(st.integers(1, 4), label="n")
+    lits = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lits, max_size=3), max_size=5), label="clauses")
+    return cnf_constraint(CnfFormula(clauses, num_vars=n))
+
+
 def _check_table(q):
     """The consistency table agrees with ``falsifies`` and with the scans
     on every assignment, the forcing of each unbound literal included."""
@@ -168,14 +182,9 @@ class TestConsistencyTable:
         assert _consistency_table(q) == ({}, bytearray([int(bits)]))
 
     @settings(deadline=None, max_examples=40)
-    @given(data=st.data())
-    def test_cnf_constraints(self, data):
-        n = data.draw(st.integers(1, 4), label="n")
-        lits = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
-        clauses = data.draw(
-            st.lists(st.lists(lits, max_size=3), max_size=5), label="clauses"
-        )
-        _check_table(cnf_constraint(CnfFormula(clauses, num_vars=n)))
+    @given(q=cnf_constraints())
+    def test_cnf_constraints(self, q):
+        _check_table(q)
 
     def test_at_most_one_of_three(self):
         weight, table = _consistency_table(at_most_k(1, [1, 2, 3]))
@@ -183,6 +192,34 @@ class TestConsistencyTable:
         assert table.count(0) == 7
         assert table[weight[1] + weight[2]] == 0
         assert table[weight[1] + weight[-2]] == 1
+
+
+class TestFillMatchesTheReference:
+    """The digit-by-digit fill against the code-by-code one, weights and
+    bytes."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_truth_tables_up_to_seven_variables(self, data):
+        vs = data.draw(
+            st.lists(st.integers(1, 20), unique=True, max_size=7), label="vars"
+        )
+        bits = data.draw(
+            st.text(alphabet="01", min_size=2 ** len(vs), max_size=2 ** len(vs)),
+            label="bits",
+        )
+        q = truth_table(vs, bits)
+        assert _consistency_table(q) == reference_consistency_table(q)
+
+    @settings(deadline=None, max_examples=40)
+    @given(q=cnf_constraints())
+    def test_cnf_constraints(self, q):
+        assert _consistency_table(q) == reference_consistency_table(q)
+
+    @pytest.mark.parametrize("n", range(1, DEFAULT_ENUMERATION_LIMIT + 1))
+    def test_at_most_one(self, n):
+        q = at_most_k(1, range(1, n + 1))
+        assert _consistency_table(q) == reference_consistency_table(q)
 
 
 class TestMatchingFunctions:

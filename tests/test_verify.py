@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -449,7 +450,44 @@ WALK_EDGE_CASES = {
         Verdict(True, 9),
         Verdict(True, 9),
     ),
+    # counterexamples decoded from codes: digit 0 is variable 3, bound
+    # negative in both, and is_upac's literal is on a digit above the
+    # failing node's
+    "negative literal on a higher digit, unsorted variables": (
+        CnfFormula([(1, -2)], num_vars=3),
+        truth_table([3, 1, 2], "11011101"),
+        Verdict(
+            False,
+            6,
+            verify.Counterexample(frozenset({1, -3}), "conflict", "no-conflict"),
+        ),
+        Verdict(
+            False,
+            3,
+            verify.Counterexample(frozenset({-3}), "inferred", "absent", -1),
+        ),
+    ),
 }
+
+
+def _random_formula_and_table(rng):
+    """A formula over 1..n, n from 3 to 6, mostly of binary clauses, and
+    a table constraint over some of 1..n in any order: half the time the
+    formula's own projection, else random bits."""
+    n = rng.randint(3, 6)
+    clauses = []
+    for _ in range(rng.randint(1, 2 * n)):
+        width = 2 if rng.random() < 0.7 else rng.randint(1, 3)
+        clauses.append(
+            [rng.choice((v, -v)) for v in rng.sample(range(1, n + 1), width)]
+        )
+    formula = CnfFormula(clauses, num_vars=n)
+    variables = rng.sample(range(1, n + 1), rng.randint(1, n))
+    if rng.random() < 0.5:
+        bits = _projection(formula, variables)
+    else:
+        bits = "".join(rng.choice("01") for _ in range(2 ** len(variables)))
+    return formula, truth_table(variables, bits)
 
 
 class TestSeededSweepsMatchRestriction:
@@ -470,6 +508,17 @@ class TestSeededSweepsMatchRestriction:
             assert _outcome(
                 computes_by_contradiction(formula, fn)
             ) == restricting_by_contradiction(formula, fn)
+
+    def test_random_walks_reach_deep_assignments(self):
+        # binary clauses chain inferences through derived literals, and
+        # projections let many sweeps run far past their first
+        # assignments; a walk that never propagates a derived literal
+        # onward disagrees on about one formula in six
+        rng = random.Random(20240817)
+        for _ in range(2000):
+            formula, q = _random_formula_and_table(rng)
+            assert is_upi(formula, q) == seeded_against_table(formula, q, False)
+            assert is_upac(formula, q) == seeded_against_table(formula, q, True)
 
     @pytest.mark.parametrize(
         "formula, q, upi, upac", WALK_EDGE_CASES.values(), ids=WALK_EDGE_CASES
