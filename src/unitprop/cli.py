@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .cnf import CnfFormula, DimacsError, assignment, emit_dimacs, parse_dimacs, restrict
@@ -102,14 +103,12 @@ def _cmd_reduce_c2p(args: argparse.Namespace) -> int:
         Path(args.map).write_text(render_simulation_map(red.map))
     wrote = _write_or_print(red.formula, args.output)
     if wrote:
-        counts = red.family_counts
+        counts = ",".join(f"{k}:{v}" for k, v in asdict(red.family_counts).items())
         print(
             f"REDUCED clauses={len(source.clauses)}->{len(red.formula.clauses)}"
             f" vars={source.num_vars}->{red.formula.num_vars}"
             f" output={red.map.output_var}"
-            f" counts=injection:{counts.injection},replication:{counts.replication},"
-            f"deduction:{counts.deduction},unit:{counts.unit},"
-            f"collection:{counts.collection}"
+            f" counts={counts}"
         )
     return 0
 

@@ -8,7 +8,7 @@ assignment is a frozenset of literals with no variable bound twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -63,7 +63,7 @@ class CnfFormula:
     """
 
     clauses: tuple[tuple[int, ...], ...]
-    num_vars: int = field(default=0)
+    num_vars: int
 
     def __init__(self, clauses: Iterable[Iterable[int]], num_vars: int | None = None):
         canon = tuple(canonical_clause(c) for c in clauses)

@@ -228,8 +228,20 @@ def enumerate_partials(
     return _ternary(_check_enumeration(variables, limit))
 
 
-def _universe(count: str) -> range:
-    n = int(count)
+def _refuse(form: str, text: str) -> ValueError:
+    return ValueError(f"expected '{form}', got {text!r}")
+
+
+def _integer(token: str, form: str, text: str) -> int:
+    """``token`` of the spec ``text`` as an integer; a non-integer
+    refuses the spec as not of ``form``."""
+    try:
+        return int(token)
+    except ValueError:
+        raise _refuse(form, text) from None
+
+
+def _universe(n: int) -> range:
     if n < 0:
         raise ValueError("variable count must be nonnegative")
     return range(1, n + 1)
@@ -246,16 +258,20 @@ def parse_constraint(text: str) -> Constraint:
         raise ValueError("empty constraint spec")
     head = tokens[0]
     if head == "atmost":
+        form = "atmost <k> of <n>"
         if len(tokens) != 4 or tokens[2] != "of":
-            raise ValueError(f"expected 'atmost <k> of <n>', got {text!r}")
-        return at_most_k(int(tokens[1]), _universe(tokens[3]))
+            raise _refuse(form, text)
+        k = _integer(tokens[1], form, text)
+        n = _integer(tokens[3], form, text)
+        return at_most_k(k, _universe(n))
     if head == "table":
+        form = "table <n> <bits>"
         if len(tokens) != 3:
-            raise ValueError(f"expected 'table <n> <bits>', got {text!r}")
-        return truth_table(_universe(tokens[1]), tokens[2])
+            raise _refuse(form, text)
+        return truth_table(_universe(_integer(tokens[1], form, text)), tokens[2])
     if head == "cnf":
         if len(tokens) < 2:
-            raise ValueError(f"expected 'cnf <path>', got {text!r}")
+            raise _refuse("cnf <path>", text)
         path = text.split(None, 1)[1]
         return cnf_constraint(parse_dimacs(Path(path).read_text()))
     raise ValueError(f"unknown constraint form {head!r}")
@@ -263,9 +279,7 @@ def parse_constraint(text: str) -> Constraint:
 
 def pairwise_at_most_one(variables: Iterable[int]) -> CnfFormula:
     """The quadratic at-most-one encoding: one binary clause per pair."""
-    vs = tuple(variables)
-    clauses = [(-a, -b) for a, b in itertools.combinations(vs, 2)]
-    return CnfFormula(clauses, num_vars=max(vs, default=0))
+    return binomial_at_most_k(variables, 1)
 
 
 def binomial_at_most_k(variables: Iterable[int], k: int) -> CnfFormula:

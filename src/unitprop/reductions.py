@@ -36,7 +36,7 @@ every forced literal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .cnf import CnfFormula, _check_universe, _check_variables, restrict
@@ -68,6 +68,8 @@ class SimulationMap:
 
 @dataclass(frozen=True)
 class FamilyCounts:
+    """Clauses per family, in the order the ``REDUCED`` line prints them."""
+
     injection: int
     replication: int
     deduction: int
@@ -75,13 +77,7 @@ class FamilyCounts:
     collection: int
 
     def total(self) -> int:
-        return (
-            self.injection
-            + self.replication
-            + self.deduction
-            + self.unit
-            + self.collection
-        )
+        return sum(asdict(self).values())
 
 
 @dataclass(frozen=True)

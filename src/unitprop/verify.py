@@ -54,36 +54,25 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class Verdict:
-    holds: bool
+    """The answer of a check: how many assignments it checked, and the
+    first of them that failed, if one did.  It holds iff none failed."""
+
     checked: int
     counterexample: Counterexample | None = None
-    note: str = ""
 
-
-def _fails(
-    checked: int,
-    assignment: frozenset[int],
-    expected: str,
-    observed: str,
-    literal: int | None = None,
-    stage: int | None = None,
-    note: str = "",
-) -> Verdict:
-    return Verdict(
-        False,
-        checked,
-        Counterexample(assignment, expected, observed, literal, stage),
-        note,
-    )
+    @property
+    def holds(self) -> bool:
+        return self.counterexample is None
 
 
 # Shared verdicts of one assignment that holds and of one outside the
 # domain, so that a sweep allocates none for the assignments that pass.
-_HOLDS = Verdict(True, 1)
-_OUTSIDE = Verdict(True, 0)
+_HOLDS = Verdict(1)
+_OUTSIDE = Verdict(0)
 
 _CONFLICT = ("conflict", "no-conflict")
 _INFERRED = ("inferred", "absent")
+_KNOWN = ("present", "absent")
 
 
 def _mismatch(
@@ -92,12 +81,14 @@ def _mismatch(
     expected: bool,
     literal: int | None = None,
     checked: int = 1,
+    stage: int | None = None,
 ) -> Verdict:
-    """The failure of one assignment, the ``checked``-th of its sweep.
-    ``words`` names the yes and the no answer; what was observed is the
-    one that was not expected."""
+    """The failure of one assignment, the ``checked``-th of its sweep,
+    on ``literal`` at ``stage`` where the check names them.  ``words``
+    names the yes and the no answer; what was observed is the one that
+    was not expected."""
     want, got = words if expected else words[::-1]
-    return _fails(checked, I, want, got, literal)
+    return Verdict(checked, Counterexample(I, want, got, literal, stage))
 
 
 def sweep(
@@ -108,7 +99,7 @@ def sweep(
     """Run ``check`` on each partial assignment in enumeration order,
     summing the ``checked`` counts it returns (0 outside its domain).
     The first failing assignment ends the sweep: its counterexample
-    and note come back with the running total."""
+    comes back with the running total."""
     return _sweep(enumerate_partials(variables, limit), check)
 
 
@@ -132,8 +123,8 @@ def _sweep(
         verdict = check(I)
         total += verdict.checked
         if not verdict.holds:
-            return Verdict(False, total, verdict.counterexample, verdict.note)
-    return Verdict(True, total)
+            return Verdict(total, verdict.counterexample)
+    return Verdict(total)
 
 
 def computes_by_contradiction(
@@ -260,7 +251,7 @@ def _against_table(
             above = literals[k + 1 : j] + high
             stack.append((closed, -v, code + minus, k, above))
             stack.append((closed, v, code + plus, k, above))
-    return Verdict(True, checked)
+    return Verdict(checked)
 
 
 def _decode(vs: tuple[int, ...], code: int) -> frozenset[int]:
@@ -313,15 +304,8 @@ def check_stage_correspondence(
                 on_source = lit in known_source
                 on_sim = red.map.aux(lit, m) in known_sim
                 if on_source != on_sim:
-                    return _fails(
-                        checked,
-                        assn,
-                        expected="present" if on_source else "absent",
-                        observed="present" if on_sim else "absent",
-                        literal=lit,
-                        stage=m,
-                    )
-    return Verdict(True, checked)
+                    return _mismatch(assn, _KNOWN, on_source, lit, checked, m)
+    return Verdict(checked)
 
 
 def check_size_bound(output: ReductionOutput) -> Verdict:
@@ -341,32 +325,21 @@ def check_size_bound(output: ReductionOutput) -> Verdict:
     for family, want in expected.items():
         have = getattr(got, family)
         if have != want:
-            return _fails(
-                1,
-                frozenset(),
-                expected=f"{family}={want}",
-                observed=f"{family}={have}",
-                note="family count mismatch",
+            return Verdict(
+                1, Counterexample(frozenset(), f"{family}={want}", f"{family}={have}")
             )
-    if got.total() != len(output.formula.clauses):
-        return _fails(
-            1,
-            frozenset(),
-            expected=f"total={len(output.formula.clauses)}",
-            observed=f"total={got.total()}",
-            note="family counts do not sum to clause count",
+    clauses = len(output.formula.clauses)
+    if got.total() != clauses:
+        return Verdict(
+            1, Counterexample(frozenset(), f"total={clauses}", f"total={got.total()}")
         )
     size = output.formula.size()
     bound = SIZE_BOUND_FACTOR * n * n * output.source.size()
     if size > bound:
-        return _fails(
-            1,
-            frozenset(),
-            expected=f"size<={bound:g}",
-            observed=f"size={size}",
-            note="size bound exceeded",
+        return Verdict(
+            1, Counterexample(frozenset(), f"size<={bound:g}", f"size={size}")
         )
-    return Verdict(True, 1)
+    return _HOLDS
 
 
 def contradiction_fn(formula: CnfFormula) -> MatchingFunction:
@@ -392,18 +365,17 @@ def _format_assignment(assn: frozenset[int]) -> str:
 
 
 def render_verdict(verdict: Verdict) -> str:
-    if verdict.holds:
-        return f"HOLDS checked={verdict.checked}"
-    lines = [f"FAILS checked={verdict.checked}"]
     ce = verdict.counterexample
-    if ce is not None:
-        lines.append(f"  assignment: {_format_assignment(ce.assignment)}")
-        if ce.literal is not None:
-            lines.append(f"  literal: {ce.literal}")
-        if ce.stage is not None:
-            lines.append(f"  stage: {ce.stage}")
-        lines.append(f"  expected: {ce.expected}")
-        lines.append(f"  observed: {ce.observed}")
-    if verdict.note:
-        lines.append(f"  note: {verdict.note}")
+    if ce is None:
+        return f"HOLDS checked={verdict.checked}"
+    lines = [
+        f"FAILS checked={verdict.checked}",
+        f"  assignment: {_format_assignment(ce.assignment)}",
+    ]
+    if ce.literal is not None:
+        lines.append(f"  literal: {ce.literal}")
+    if ce.stage is not None:
+        lines.append(f"  stage: {ce.stage}")
+    lines.append(f"  expected: {ce.expected}")
+    lines.append(f"  observed: {ce.observed}")
     return "\n".join(lines)

@@ -290,9 +290,7 @@ def seeded_against_table(formula, q, forced_literals: bool) -> Verdict:
     weight, table = reference_consistency_table(q)
 
     def failed(checked, part, expected, observed, literal=None):
-        return Verdict(
-            False, checked, Counterexample(part, expected, observed, literal)
-        )
+        return Verdict(checked, Counterexample(part, expected, observed, literal))
 
     checked = 0
     for part in enumerate_partials(q.variables):
@@ -323,4 +321,4 @@ def seeded_against_table(formula, q, forced_literals: bool) -> Verdict:
                         _word(inferred, "inferred", "absent"),
                         lit,
                     )
-    return Verdict(True, checked)
+    return Verdict(checked)

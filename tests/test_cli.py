@@ -291,6 +291,14 @@ class TestErrors:
         assert main(["verify-upi", amo_cnf, "--constraint", "bogus 1"]) == 2
         assert "unknown constraint form" in capsys.readouterr().err
 
+    def test_non_integer_in_a_constraint_spec(self, amo_cnf, capsys):
+        assert main(["verify-upi", amo_cnf, "--constraint", "atmost x of 3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: expected 'atmost <k> of <n>', got 'atmost x of 3'\n"
+        )
+
     def test_negative_constraint_size(self, amo_cnf, capsys):
         assert main(["verify-upac", amo_cnf, "--constraint", "table -3 1"]) == 2
         captured = capsys.readouterr()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -357,6 +358,19 @@ class TestEnumeration:
             enumerate_partials(variables)
 
 
+# each malformed spec, and the message that refuses it
+MALFORMED_SPECS = {
+    "": "empty constraint spec",
+    "atmost 1 over 3": "expected 'atmost <k> of <n>', got 'atmost 1 over 3'",
+    "table 2": "expected 'table <n> <bits>', got 'table 2'",
+    "cnf": "expected 'cnf <path>', got 'cnf'",
+    "huh 1 2": "unknown constraint form 'huh'",
+    "atmost x of 3": "expected 'atmost <k> of <n>', got 'atmost x of 3'",
+    "atmost 1 of y": "expected 'atmost <k> of <n>', got 'atmost 1 of y'",
+    "table z 0101": "expected 'table <n> <bits>', got 'table z 0101'",
+}
+
+
 class TestParsing:
     def test_atmost_form(self):
         q = parse_constraint("atmost 2 of 4")
@@ -376,12 +390,9 @@ class TestParsing:
         assert q.label == "cnf over 2 vars"
         assert q.variables == (1, 2)
 
-    @pytest.mark.parametrize(
-        "text",
-        ["", "atmost 1 over 3", "table 2", "cnf", "huh 1 2"],
-    )
+    @pytest.mark.parametrize("text", MALFORMED_SPECS)
     def test_malformed_specs_rejected(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(MALFORMED_SPECS[text])):
             parse_constraint(text)
 
     @pytest.mark.parametrize("text", ["atmost 1 of -3", "table -3 1"])
@@ -395,6 +406,10 @@ class TestEncodings:
         f = pairwise_at_most_one([1, 2, 3])
         assert f.clauses == ((-1, -2), (-1, -3), (-2, -3))
         assert f.num_vars == 3
+        f = pairwise_at_most_one([3, 1, 2])
+        assert f.clauses == ((-3, -1), (-3, -2), (-1, -2))
+        assert f.num_vars == 3
+        assert pairwise_at_most_one([]) == CnfFormula([], num_vars=0)
 
     def test_binomial(self):
         f = binomial_at_most_k([1, 2, 3, 4], 2)

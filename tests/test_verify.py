@@ -328,7 +328,7 @@ class TestSweep:
 
     def test_a_repeated_variable_is_refused(self):
         with pytest.raises(ValueError, match="distinct positive integers"):
-            sweep([2, 2], lambda I: Verdict(True, 1))
+            sweep([2, 2], lambda I: Verdict(1))
 
     def test_a_sweep_indexes_its_formula_once(self):
         comp = compose_upac(pairwise_at_most_one([1, 2, 3]))
@@ -416,15 +416,15 @@ def _assert_walk_matches_references(formula, q):
 
 
 ROOT_CONFLICT = Verdict(
-    False, 1, verify.Counterexample(frozenset(), "no-conflict", "conflict")
+    1, verify.Counterexample(frozenset(), "no-conflict", "conflict")
 )
 # (formula, constraint, pinned is_upi verdict, pinned is_upac verdict)
 WALK_EDGE_CASES = {
     "empty clause, constraint unsatisfiable": (
         CnfFormula([(1, 2), ()], num_vars=2),
         truth_table([1, 2], "0000"),
-        Verdict(True, 9),
-        Verdict(True, 9),
+        Verdict(9),
+        Verdict(9),
     ),
     "empty clause, constraint satisfiable": (
         CnfFormula([()], num_vars=2),
@@ -435,20 +435,20 @@ WALK_EDGE_CASES = {
     "conflict at the root from unit clauses": (
         CnfFormula([(1,), (-1, 3), (-3,)], num_vars=3),
         truth_table([3, 2], "0000"),
-        Verdict(True, 9),
-        Verdict(True, 9),
+        Verdict(9),
+        Verdict(9),
     ),
     "variables in unsorted order": (
         pairwise_at_most_one([1, 2, 3, 4]),
         at_most_k(1, [3, 1, 4, 2]),
-        Verdict(True, 81),
-        Verdict(True, 81),
+        Verdict(81),
+        Verdict(81),
     ),
     "formula wider than the constraint": (
         compose_upac(pairwise_at_most_one([1, 2, 3])).formula,
         at_most_k(1, [3, 2]),
-        Verdict(True, 9),
-        Verdict(True, 9),
+        Verdict(9),
+        Verdict(9),
     ),
     # counterexamples decoded from codes: digit 0 is variable 3, bound
     # negative in both, and is_upac's literal is on a digit above the
@@ -457,12 +457,10 @@ WALK_EDGE_CASES = {
         CnfFormula([(1, -2)], num_vars=3),
         truth_table([3, 1, 2], "11011101"),
         Verdict(
-            False,
             6,
             verify.Counterexample(frozenset({1, -3}), "conflict", "no-conflict"),
         ),
         Verdict(
-            False,
             3,
             verify.Counterexample(frozenset({-3}), "inferred", "absent", -1),
         ),
@@ -577,8 +575,8 @@ class TestWalk:
         # failure, {1, 4}, follows skips of 1 and 3
         formula = pairwise_at_most_one([1, 2, 3, 4])
         q = at_most_k(1, [1, 2, 3, 4])
-        assert is_upi(formula, q) == Verdict(True, 81)
-        assert is_upac(formula, q) == Verdict(True, 81)
+        assert is_upi(formula, q) == Verdict(81)
+        assert is_upac(formula, q) == Verdict(81)
         without = CnfFormula(
             [c for c in formula.clauses if c != (-1, -4)], num_vars=4
         )
@@ -597,12 +595,12 @@ class TestWalk:
     def test_a_literal_against_the_parents_closure_conflicts(self):
         # {2} infers -1, so extending it by 1 must conflict
         q = at_most_k(1, [1, 2])
-        assert is_upi(pairwise_at_most_one([1, 2]), q) == Verdict(True, 9)
+        assert is_upi(pairwise_at_most_one([1, 2]), q) == Verdict(9)
 
     def test_derived_literals_propagate_onward(self):
         # 2 infers 3 through (-2 | 3), and 3 infers -1 through (-3 | -1)
         formula = CnfFormula([(-2, 3), (-3, -1)], num_vars=3)
-        assert is_upac(formula, at_most_k(1, [1, 2])) == Verdict(True, 9)
+        assert is_upac(formula, at_most_k(1, [1, 2])) == Verdict(9)
 
     def test_a_walk_leaves_no_reference_cycle(self):
         # a cycle would keep each sweep's index alive until the cyclic
@@ -623,7 +621,18 @@ class TestWalk:
         verdict = is_upac(
             pairwise_at_most_one(range(1, n + 1)), at_most_k(1, range(1, n + 1))
         )
-        assert verdict == Verdict(True, 3 ** n)
+        assert verdict == Verdict(3 ** n)
+
+
+CHAIN = CnfFormula([(1, 2), (2, 3), (3, 4)])
+
+
+def _grown(source):
+    """The simulation of ``source`` with one clause more than its family
+    counts sum to."""
+    out = contra_to_prop(source)
+    grown = CnfFormula(out.formula.clauses + ((1,),), num_vars=out.formula.num_vars)
+    return ReductionOutput(out.source, grown, out.map, out.family_counts)
 
 
 class TestSizeBound:
@@ -648,19 +657,8 @@ class TestSizeBound:
         assert not check_size_bound(bad).holds
 
     def test_counts_must_sum_to_the_clause_count(self):
-        out = contra_to_prop(CnfFormula([(1, 2), (2, 3), (3, 4)]))
-        grown = CnfFormula(
-            out.formula.clauses + ((1,),), num_vars=out.formula.num_vars
-        )
-        verdict = check_size_bound(
-            ReductionOutput(out.source, grown, out.map, out.family_counts)
-        )
-        assert render_verdict(verdict) == (
-            "FAILS checked=1\n"
-            "  assignment: (empty)\n"
-            "  expected: total=69\n"
-            "  observed: total=68\n"
-            "  note: family counts do not sum to clause count"
+        assert check_size_bound(_grown(CHAIN)) == Verdict(
+            1, verify.Counterexample(frozenset(), "total=69", "total=68")
         )
 
 
@@ -690,13 +688,54 @@ class TestRendering:
             "  observed: absent"
         )
 
-    def test_empty_assignment_and_note(self, monkeypatch):
-        out = contra_to_prop(CnfFormula([(1,)], num_vars=1))
-        monkeypatch.setattr(verify, "SIZE_BOUND_FACTOR", 8)
-        verdict = check_size_bound(out)
-        text = render_verdict(verdict)
-        assert "assignment: (empty)" in text
-        assert "note: size bound exceeded" in text
+    @pytest.mark.parametrize(
+        "factor, output, text",
+        [
+            pytest.param(
+                SIZE_BOUND_FACTOR,
+                dataclasses.replace(
+                    contra_to_prop(EXAMPLE), family_counts=FamilyCounts(8, 32, 20, 2, 4)
+                ),
+                "FAILS checked=1\n"
+                "  assignment: (empty)\n"
+                "  expected: unit=1\n"
+                "  observed: unit=2",
+                id="family count",
+            ),
+            pytest.param(
+                SIZE_BOUND_FACTOR,
+                _grown(CHAIN),
+                "FAILS checked=1\n"
+                "  assignment: (empty)\n"
+                "  expected: total=69\n"
+                "  observed: total=68",
+                id="total",
+            ),
+            pytest.param(
+                8,
+                contra_to_prop(CnfFormula([(1,)], num_vars=1)),
+                "FAILS checked=1\n"
+                "  assignment: (empty)\n"
+                "  expected: size<=8\n"
+                "  observed: size=12",
+                id="size bound",
+            ),
+        ],
+    )
+    def test_size_bound_failures(self, monkeypatch, factor, output, text):
+        monkeypatch.setattr(verify, "SIZE_BOUND_FACTOR", factor)
+        assert render_verdict(check_size_bound(output)) == text
+
+
+class TestVerdict:
+    def test_holds_iff_there_is_no_counterexample(self):
+        assert [f.name for f in dataclasses.fields(Verdict)] == [
+            "checked",
+            "counterexample",
+        ]
+        assert Verdict(3).holds
+        cex = verify.Counterexample(frozenset({1}), "conflict", "no-conflict")
+        assert not Verdict(3, cex).holds
 
 
 class TestRoundTrip:
