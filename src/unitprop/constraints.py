@@ -121,13 +121,14 @@ def falsifies(q: Constraint, assn: Iterable[int]) -> bool:
     return True
 
 
-def _consistency_table(q: Constraint) -> tuple[dict[int, int], bytearray]:
+def _consistency_table(q: Constraint) -> bytearray:
     """``falsifies`` in table form, one byte per partial assignment.
 
     A partial assignment's code is the sum of its literals' weights: with
     ``variables[j]`` as digit j, a positive literal weighs 3^j and a
     negative one 2*3^j, so codes follow ``enumerate_partials`` order.
     ``table[code]`` is 1 iff some complete extension satisfies ``q``.
+    Callers compute the weights from ``q.variables`` by this rule.
 
     The table is built one digit at a time.  ``q.sat`` runs once per
     complete assignment, in binary counting order with digit 0 fastest
@@ -137,10 +138,6 @@ def _consistency_table(q: Constraint) -> tuple[dict[int, int], bytearray]:
     next size: unbound, then positive, then negative, where unbound is
     the bytewise OR of the other two.
     """
-    weight: dict[int, int] = {}
-    for j, v in enumerate(q.variables):
-        weight[v] = 3 ** j
-        weight[-v] = 2 * 3 ** j
     blocks = [
         b"\1" if q.sat(frozenset(complete)) else b"\0"
         for complete in itertools.product(*((v, -v) for v in reversed(q.variables)))
@@ -153,7 +150,7 @@ def _consistency_table(q: Constraint) -> tuple[dict[int, int], bytearray]:
             joined.append(unbound.to_bytes(size, "little") + plus + minus)
         blocks = joined
         size *= 3
-    return weight, bytearray(blocks[0])
+    return bytearray(blocks[0])
 
 
 def inconsistency_fn(q: Constraint) -> MatchingFunction:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
 
 from .cnf import CnfFormula, _check_universe, assignment as _mk_assignment, restrict
 
@@ -83,47 +83,50 @@ def _index(formula: CnfFormula) -> tuple[Mapping[int, tuple[int, ...]], tuple[in
     return {lit: tuple(idxs) for lit, idxs in occ.items()}, tuple(short)
 
 
-def _extend(
-    clauses: tuple[tuple[int, ...], ...],
-    occ: Mapping[int, tuple[int, ...]],
-    closed: set[int] | frozenset[int],
-    lit: int,
-) -> set[int] | frozenset[int] | None:
-    """The closure of ``closed`` plus ``lit``, or None on a conflict.
+def _extender(
+    formula: CnfFormula,
+) -> Callable[[AbstractSet[int], int], AbstractSet[int] | None]:
+    """``extend(closed, lit)``: the closure of ``closed`` plus ``lit``,
+    or None on a conflict, over the clauses of ``formula``.
 
-    ``closed`` must be a conflict-free closure of ``clauses``, with
-    ``occ`` their occurrence lists from ``_index``.  Then only a clause
-    that holds the negation of a newly assigned literal can have become
-    unit or falsified, so propagation is queued from ``lit`` alone.
+    ``closed`` must be a conflict-free closure of the formula.  Then only
+    a clause that holds the negation of a newly assigned literal can have
+    become unit or falsified, so propagation is queued from ``lit`` alone.
     Whether propagation conflicts, and the closure when it does not, do
     not depend on the order of inferences, so this agrees with
     ``propagate_fixpoint`` on any seed whose closure is ``closed``, plus
     ``lit``.  ``closed`` is never modified: a new literal gets a new
     set, a known one gets ``closed`` back.
     """
-    if lit in closed:
-        return closed
-    if -lit in closed:
-        return None
-    known = set(closed)
-    known.add(lit)
-    queue = [lit]
-    for assigned in queue:
-        for idx in occ.get(-assigned, ()):
-            unit = None
-            for other in clauses[idx]:
-                if other in known:
-                    break  # satisfied
-                if -other not in known:
-                    if unit is not None:
-                        break  # two open literals
-                    unit = other
-            else:
-                if unit is None:
-                    return None
-                known.add(unit)
-                queue.append(unit)
-    return known
+    clauses = formula.clauses
+    occ, _ = _index(formula)
+
+    def extend(closed: AbstractSet[int], lit: int) -> AbstractSet[int] | None:
+        if lit in closed:
+            return closed
+        if -lit in closed:
+            return None
+        known = set(closed)
+        known.add(lit)
+        queue = [lit]
+        for assigned in queue:
+            for idx in occ.get(-assigned, ()):
+                unit = None
+                for other in clauses[idx]:
+                    if other in known:
+                        break  # satisfied
+                    if -other not in known:
+                        if unit is not None:
+                            break  # two open literals
+                        unit = other
+                else:
+                    if unit is None:
+                        return None
+                    known.add(unit)
+                    queue.append(unit)
+        return known
+
+    return extend
 
 
 def propagate_fixpoint(
@@ -262,6 +265,7 @@ def stage_assignment(trace: StagedTrace, stage: int) -> frozenset[int]:
 def infers(formula: CnfFormula, assignment: Iterable[int], literal: int) -> str:
     """Classify what propagation concludes about ``literal`` under the
     given bindings: ``"yes"``, ``"no"``, or ``"conflict"``."""
+    _check_universe((literal,), formula)
     out = propagate_fixpoint(restrict(formula, assignment))
     if out.conflicted:
         return "conflict"

@@ -11,7 +11,8 @@ conflict and on closure.
 ``is_upi`` and ``is_upac`` walk the same order depth first.  Each
 assignment binds one variable more than its parent in the walk, so its
 closure is the parent's extended by one literal, not a propagation from
-scratch.  A conflict persists when the seed grows, and so does
+scratch.  ``propagate._extender`` extends it and keeps the clause
+index to itself.  A conflict persists when the seed grows, and so does
 falsifying the constraint, so where an assignment both conflicts and
 falsifies the constraint, so does every extension of it: that block is
 counted as checked and never visited.  ``computes_by_*`` and
@@ -34,7 +35,7 @@ from .constraints import (
     _ternary,
     enumerate_partials,
 )
-from .propagate import _extend, _index, propagate_fixpoint, propagate_staged
+from .propagate import _extender, propagate_fixpoint, propagate_staged
 from .reductions import ReductionOutput, contra_to_prop
 
 # Largest measured ratio size(simulation) / (n^2 * size(source)); the
@@ -208,27 +209,24 @@ def _against_table(
     both conflicts and falsifies ``q``, so does every extension of it,
     and each would hold: the whole block counts as checked, unvisited.
 
-    A node is its code, not its set of literals.  Its digits below
-    ``j`` are unbound, and it carries its unbound digits at or above
-    ``j``: for the child at digit k, digits k+1..j-1 and the parent's.
-    The forced-literal check runs over those two runs of digits.  The
-    assignment is decoded from the code only for a counterexample.
+    A node is its code, not its set of literals, and the tuple of its
+    unbound digits, the ``j`` low ones first.  The assignment is decoded
+    from the code only for a counterexample.
     """
     vs = _check_sweep(formula, q.variables, limit)
-    weight, table = _consistency_table(q)
-    clauses = formula.clauses
-    occ, _ = _index(formula)
+    table = _consistency_table(q)
+    extend = _extender(formula)
     root = propagate_fixpoint(formula)
-    literals = tuple((v, weight[v], weight[-v]) for v in vs)
+    digits = tuple((v, 3 ** j, 2 * 3 ** j) for j, v in enumerate(vs))
     checked = 0
     # (parent's closure, literal added or 0 at the root, code, number of
-    # unbound low digits, unbound digits above them); children are
-    # pushed in reverse, so that they are popped in block order
-    stack = [(None if root.conflicted else root.final, 0, 0, len(vs), ())]
+    # unbound low digits, every unbound digit); children are pushed in
+    # reverse, so that they are popped in block order
+    stack = [(None if root.conflicted else root.final, 0, 0, len(vs), digits)]
     while stack:
-        closed, added, code, j, high = stack.pop()
+        closed, added, code, j, unbound = stack.pop()
         if added:
-            closed = _extend(clauses, occ, closed, added)
+            closed = extend(closed, added)
         falsified = not table[code]
         if (closed is None) != falsified:
             I = _decode(vs, code)
@@ -237,20 +235,19 @@ def _against_table(
             checked += 3 ** j
             continue
         if forced_literals:
-            for unbound in (literals[:j], high):
-                for v, plus, minus in unbound:
-                    # v is forced iff I - v falsifies q, and -v iff I + v does
-                    for lit, child in ((v, minus), (-v, plus)):
-                        forced = not table[code + child]
-                        if (lit in closed) != forced:
-                            I = _decode(vs, code)
-                            return _mismatch(I, _INFERRED, forced, lit, checked + 1)
+            for v, plus, minus in unbound:
+                # v is forced iff I - v falsifies q, and -v iff I + v does
+                for lit, child in ((v, minus), (-v, plus)):
+                    forced = not table[code + child]
+                    if (lit in closed) != forced:
+                        I = _decode(vs, code)
+                        return _mismatch(I, _INFERRED, forced, lit, checked + 1)
         checked += 1
         for k in range(j - 1, -1, -1):
-            v, plus, minus = literals[k]
-            above = literals[k + 1 : j] + high
-            stack.append((closed, -v, code + minus, k, above))
-            stack.append((closed, v, code + plus, k, above))
+            v, plus, minus = unbound[k]
+            rest = unbound[:k] + unbound[k + 1 :]
+            stack.append((closed, -v, code + minus, k, rest))
+            stack.append((closed, v, code + plus, k, rest))
     return Verdict(checked)
 
 
@@ -328,7 +325,7 @@ def check_size_bound(output: ReductionOutput) -> Verdict:
             return Verdict(
                 1, Counterexample(frozenset(), f"{family}={want}", f"{family}={have}")
             )
-    clauses = len(output.formula.clauses)
+    clauses = len(output.formula)
     if got.total() != clauses:
         return Verdict(
             1, Counterexample(frozenset(), f"total={clauses}", f"total={got.total()}")

@@ -129,11 +129,23 @@ def ternary_partials(variables: Sequence[int]) -> Iterator[frozenset[int]]:
         yield frozenset(s * v for s, v in zip(signs, reversed(variables)) if s)
 
 
-def table_disagreements(q, weight, table) -> list[tuple[frozenset[int], int | None]]:
+def digit_weights(variables: Sequence[int]) -> dict[int, int]:
+    """The code weight of each literal: with ``variables[j]`` as digit j,
+    3^j when positive and 2*3^j when negative."""
+    weight: dict[int, int] = {}
+    for j, v in enumerate(variables):
+        weight[v] = 3 ** j
+        weight[-v] = 2 * 3 ** j
+    return weight
+
+
+def table_disagreements(q, table) -> list[tuple[frozenset[int], int | None]]:
     """Where a consistency table disagrees with the scans, as
     ``(assignment, literal)`` pairs: literal None when the assignment's
     own byte is wrong, else the unbound literal whose forcing it misreads.
-    Codes are positions in ``ternary_partials``."""
+    Codes are sums of ``digit_weights`` and positions in
+    ``ternary_partials``."""
+    weight = digit_weights(q.variables)
     wrong = []
     for code, part in enumerate(ternary_partials(q.variables)):
         assert sum(weight[lit] for lit in part) == code
@@ -149,17 +161,14 @@ def table_disagreements(q, weight, table) -> list[tuple[frozenset[int], int | No
     return wrong
 
 
-def reference_consistency_table(q) -> tuple[dict[int, int], bytearray]:
+def reference_consistency_table(q) -> bytearray:
     """The consistency table filled one code at a time, the definition
-    the library's digit-by-digit fill is held to.  Weights and codes are
-    those of ``table_disagreements``.  ``q.sat`` runs once per complete
+    the library's digit-by-digit fill is held to.  Codes are those of
+    ``table_disagreements``.  ``q.sat`` runs once per complete
     assignment; every other code is filled in descending order from the
     two ways of binding its lowest unbound digit, which have larger
     codes."""
-    weight: dict[int, int] = {}
-    for j, v in enumerate(q.variables):
-        weight[v] = 3 ** j
-        weight[-v] = 2 * 3 ** j
+    weight = digit_weights(q.variables)
     size = 3 ** len(q.variables)
     table = bytearray(size)
     for complete in itertools.product(*((v, -v) for v in q.variables)):
@@ -172,7 +181,7 @@ def reference_consistency_table(q) -> tuple[dict[int, int], bytearray]:
             rest //= 3
         if step < size:
             table[code] = table[code + step] | table[code + 2 * step]
-    return weight, table
+    return table
 
 
 def reference_ladder(n: int, first_aux: int) -> tuple[dict[tuple[int, int], int], int]:
@@ -287,7 +296,8 @@ def seeded_against_table(formula, q, forced_literals: bool) -> Verdict:
     assignment at a time: each assignment of ``enumerate_partials`` is
     seeded and propagated from scratch, and its expected answers are read
     from ``q``'s reference consistency table."""
-    weight, table = reference_consistency_table(q)
+    weight = digit_weights(q.variables)
+    table = reference_consistency_table(q)
 
     def failed(checked, part, expected, observed, literal=None):
         return Verdict(checked, Counterexample(part, expected, observed, literal))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    digit_weights,
     reference_consistency_table,
     scan_falsifies,
     table_disagreements,
@@ -150,9 +151,10 @@ def cnf_constraints(draw):
 def _check_table(q):
     """The consistency table agrees with ``falsifies`` and with the scans
     on every assignment, the forcing of each unbound literal included."""
-    weight, table = _consistency_table(q)
+    weight = digit_weights(q.variables)
+    table = _consistency_table(q)
     assert len(table) == 3 ** len(q.variables)
-    assert table_disagreements(q, weight, table) == []
+    assert table_disagreements(q, table) == []
     for code, part in enumerate(enumerate_partials(q.variables)):
         assert (not table[code]) == falsifies(q, part)
         for v in q.variables:
@@ -180,7 +182,7 @@ class TestConsistencyTable:
     def test_no_variables(self, bits):
         q = truth_table([], bits)
         _check_table(q)
-        assert _consistency_table(q) == ({}, bytearray([int(bits)]))
+        assert _consistency_table(q) == bytearray([int(bits)])
 
     @settings(deadline=None, max_examples=40)
     @given(q=cnf_constraints())
@@ -188,16 +190,20 @@ class TestConsistencyTable:
         _check_table(q)
 
     def test_at_most_one_of_three(self):
-        weight, table = _consistency_table(at_most_k(1, [1, 2, 3]))
-        assert weight == {1: 1, -1: 2, 2: 3, -2: 6, 3: 9, -3: 18}
+        # literal codes: 1 and -1 weigh 1 and 2, 2 and -2 weigh 3 and 6,
+        # 3 and -3 weigh 9 and 18
+        table = _consistency_table(at_most_k(1, [1, 2, 3]))
+        assert len(table) == 27
         assert table.count(0) == 7
-        assert table[weight[1] + weight[2]] == 0
-        assert table[weight[1] + weight[-2]] == 1
+        assert table[1 + 3] == 0  # {1, 2}
+        assert table[1 + 6] == 1  # {1, -2}
+        assert table[3 + 9] == 0  # {2, 3}
+        assert table[2 + 6 + 18] == 1  # {-1, -2, -3}
 
 
 class TestFillMatchesTheReference:
-    """The digit-by-digit fill against the code-by-code one, weights and
-    bytes."""
+    """The digit-by-digit fill against the code-by-code one, byte for
+    byte."""
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())

@@ -7,16 +7,16 @@ which conflicts: a forces c (b is off), but d forbids c.
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import naive_stages, naive_unit_closure
 from unitprop.cnf import CnfFormula, assignment, restrict
-from unitprop.constraints import enumerate_partials
+from unitprop.constraints import at_most_k, enumerate_partials
 from unitprop.propagate import (
-    _extend,
-    _index,
+    _extender,
     infers,
     propagate_fixpoint,
     propagate_staged,
@@ -26,6 +26,7 @@ from unitprop.propagate import (
     trace_records,
 )
 from unitprop.reductions import contra_to_prop
+from unitprop.verify import is_upac
 
 EXAMPLE = CnfFormula([(1,), (-1, 2, 3), (-3, -4)], num_vars=4)
 EXAMPLE_BINDINGS = assignment([-2, 4])
@@ -219,6 +220,12 @@ class TestInfers:
     def test_conflict(self):
         assert infers(EXAMPLE, EXAMPLE_BINDINGS, 3) == "conflict"
 
+    @pytest.mark.parametrize("literal", [99, 0])
+    def test_a_literal_outside_the_formula_is_refused(self, literal):
+        f = CnfFormula([(1,), (-1, 2)], num_vars=2)
+        with pytest.raises(ValueError, match=f"literal {literal} outside universe 1..2"):
+            infers(f, (), literal)
+
 
 class TestRendering:
     def test_outcome_lines(self):
@@ -310,12 +317,12 @@ class TestAgainstNaiveOracle:
         part = data.draw(partial_assignments(formula))
         parent = propagate_fixpoint(formula, part)
         assume(not parent.conflicted)
-        occ, _ = _index(formula)
+        extend = _extender(formula)
         for v in formula.variables:
             if v in part or -v in part:
                 continue
             for lit in (v, -v):
-                extended = _extend(formula.clauses, occ, parent.final, lit)
+                extended = extend(parent.final, lit)
                 conflict, closure = naive_unit_closure(formula.clauses, part | {lit})
                 assert (extended is None) == conflict
                 if not conflict:
@@ -325,7 +332,7 @@ class TestAgainstNaiveOracle:
     def test_extending_every_closure_of_the_example(self, simulated):
         # the simulation's ladders chain one inference after another
         formula = contra_to_prop(EXAMPLE).formula if simulated else EXAMPLE
-        occ, _ = _index(formula)
+        extend = _extender(formula)
         for part in enumerate_partials(EXAMPLE.variables):
             parent = propagate_fixpoint(formula, part)
             if parent.conflicted:
@@ -334,7 +341,7 @@ class TestAgainstNaiveOracle:
                 if v in part or -v in part:
                     continue
                 for lit in (v, -v):
-                    extended = _extend(formula.clauses, occ, parent.final, lit)
+                    extended = extend(parent.final, lit)
                     out = propagate_fixpoint(formula, part | {lit})
                     assert (extended is None) == out.conflicted
                     if not out.conflicted:
@@ -459,3 +466,24 @@ def test_seeded_and_restricted_runs_match_the_pinned_digest():
                 )
                 digest.update(repr((fixpoint, staged)).encode())
     assert digest.hexdigest() == PINNED_RUNS_DIGEST
+
+
+def test_the_cost_follows_the_clauses_not_the_declared_universe():
+    # a DIMACS header may declare any universe: two clauses under a
+    # million declared variables must cost what two clauses cost, in the
+    # engines, in a walk's extensions and in a whole is_upac sweep
+    n = 10**6
+    formula = CnfFormula([(1, 2), (-2, 3)], num_vars=n)
+    tracemalloc.start()
+    try:
+        assert propagate_fixpoint(formula, [n, -1]).final == {n, -1, 2, 3}
+        assert propagate_staged(formula, [-1]).stages[-1].inferred == ((3, 1),)
+        extend = _extender(formula)
+        assert extend(propagate_fixpoint(formula).final, -1) == {-1, 2, 3}
+        # {1} forces -2 in at-most-one, and (1 | 2) infers nothing from 1
+        verdict = is_upac(formula, at_most_k(1, [1, 2]))
+        assert (verdict.checked, verdict.counterexample.literal) == (2, -2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
