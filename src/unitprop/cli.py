@@ -50,16 +50,17 @@ def _parse_assign(text: str | None) -> frozenset[int]:
     return assignment(_parse_ints(text, "assignment", "signed"))
 
 
-def _write_or_print(formula: CnfFormula, output: str | None) -> bool:
-    """Write DIMACS to the output path, or to stdout when none given.
-    Returns whether a path was written (stdout then stays free for a
-    summary line)."""
+def _write_or_print(formula: CnfFormula, output: str | None, *summary: str) -> None:
+    """Write DIMACS to the output path and print the summary lines, or
+    print only the DIMACS when no path is given: stdout then holds the
+    formula alone."""
     text = emit_dimacs(formula)
-    if output:
-        Path(output).write_text(text)
-        return True
-    print(text, end="")
-    return False
+    if not output:
+        print(text, end="")
+        return
+    Path(output).write_text(text)
+    for line in summary:
+        print(line)
 
 
 def _formula_and_seed(args: argparse.Namespace) -> tuple[CnfFormula, frozenset[int]]:
@@ -82,8 +83,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if not args.staged:
         if args.records or args.max_stages is not None:
             flag = "--records" if args.records else "--max-stages"
-            print(f"error: {flag} requires --staged", file=sys.stderr)
-            return 2
+            raise ValueError(f"{flag} requires --staged")
         # a trace only reports, so a conflict still exits 0
         _cmd_propagate(args)
         return 0
@@ -101,27 +101,27 @@ def _cmd_reduce_c2p(args: argparse.Namespace) -> int:
     red = contra_to_prop(source, first_aux=args.first_aux)
     if args.map:
         Path(args.map).write_text(render_simulation_map(red.map))
-    wrote = _write_or_print(red.formula, args.output)
-    if wrote:
-        counts = ",".join(f"{k}:{v}" for k, v in asdict(red.family_counts).items())
-        print(
-            f"REDUCED clauses={len(source.clauses)}->{len(red.formula.clauses)}"
-            f" vars={source.num_vars}->{red.formula.num_vars}"
-            f" output={red.map.output_var}"
-            f" counts={counts}"
-        )
+    counts = ",".join(f"{k}:{v}" for k, v in asdict(red.family_counts).items())
+    _write_or_print(
+        red.formula,
+        args.output,
+        f"REDUCED clauses={len(source.clauses)}->{len(red.formula.clauses)}"
+        f" vars={source.num_vars}->{red.formula.num_vars}"
+        f" output={red.map.output_var}"
+        f" counts={counts}",
+    )
     return 0
 
 
 def _cmd_reduce_p2c(args: argparse.Namespace) -> int:
     source = _read_formula(args.cnf)
     result = prop_to_contra(source, args.omega)
-    wrote = _write_or_print(result, args.output)
-    if wrote:
-        print(
-            f"REDUCED clauses={len(source.clauses)}->{len(result.clauses)}"
-            f" appended-unit={-args.omega}"
-        )
+    _write_or_print(
+        result,
+        args.output,
+        f"REDUCED clauses={len(source.clauses)}->{len(result.clauses)}"
+        f" appended-unit={-args.omega}",
+    )
     return 0
 
 
@@ -129,15 +129,14 @@ def _cmd_compose_upac(args: argparse.Namespace) -> int:
     source = _read_formula(args.cnf)
     variables = _parse_ints(args.vars, "variable list", "positive") if args.vars else None
     composition = compose_upac(source, variables)
-    wrote = _write_or_print(composition.formula, args.output)
-    if wrote:
-        print(
-            f"COMPOSED blocks={len(composition.blocks)}"
-            f" clauses={len(composition.formula.clauses)}"
-            f" vars={composition.formula.num_vars}"
-        )
-        for block in composition.blocks:
-            print(f"OUTPUT {block.literal} {block.output_var}")
+    _write_or_print(
+        composition.formula,
+        args.output,
+        f"COMPOSED blocks={len(composition.blocks)}"
+        f" clauses={len(composition.formula.clauses)}"
+        f" vars={composition.formula.num_vars}",
+        *(f"OUTPUT {block.literal} {block.output_var}" for block in composition.blocks),
+    )
     return 0
 
 
@@ -151,8 +150,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_verify_hm(args: argparse.Namespace) -> int:
     if not args.all and args.limit is not None:
-        print("error: --limit requires --all", file=sys.stderr)
-        return 2
+        raise ValueError("--limit requires --all")
     formula = _read_formula(args.cnf)
     if args.all:
         reduction = contra_to_prop(formula)

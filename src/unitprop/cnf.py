@@ -9,6 +9,7 @@ assignment is a frozenset of literals with no variable bound twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 
@@ -26,12 +27,13 @@ def canonical_clause(literals: Iterable[int]) -> tuple[int, ...]:
     """Deduplicate a clause, keeping first-occurrence order.
 
     Tautological clauses (containing both ``v`` and ``-v``) are kept as is;
-    they are legal, merely unhelpful.  Literal 0 is rejected.
+    they are legal, merely unhelpful.  Literal 0 is rejected, and a
+    literal that is not an integer gets ``operator.index``'s TypeError.
     """
     seen: set[int] = set()
     out: list[int] = []
     for lit in literals:
-        lit = int(lit)
+        lit = index(lit)
         if lit == 0:
             raise ValueError("0 is not a literal")
         if lit not in seen:
@@ -43,7 +45,7 @@ def canonical_clause(literals: Iterable[int]) -> tuple[int, ...]:
 def assignment(literals: Iterable[int]) -> frozenset[int]:
     """Build a partial assignment: repeated literals collapse into one,
     while 0 and contradictions are refused."""
-    result = frozenset(int(lit) for lit in literals)
+    result = frozenset(map(index, literals))
     if 0 in result:
         raise ValueError("0 is not a literal")
     for lit in result:
@@ -107,7 +109,7 @@ class CnfFormula:
 
 
 def _check_variables(vs: tuple[int, ...]) -> None:
-    if len(set(vs)) != len(vs) or any(v < 1 for v in vs):
+    if len(set(vs)) != len(vs) or any(index(v) < 1 for v in vs):
         raise ValueError(
             f"constraint variables must be distinct positive integers, got {vs}"
         )

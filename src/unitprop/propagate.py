@@ -21,7 +21,6 @@ staged timing (restriction units fire at stage 1, seeds are stage 0).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
@@ -134,9 +133,12 @@ def propagate_fixpoint(
 ) -> PropagationOutcome:
     """Run unit propagation to closure, stopping at the first conflict.
 
-    Falsified-literal counters per clause drive the unit test; the counters
-    can lag the assigned set by queued work, so a clause that looks unit may
-    in fact be fully falsified, which is reported as the conflict.
+    The queue is the list of assigned literals in the order they were
+    assigned, seed first: the loop walks it while ``push`` appends to it,
+    as the walk's ``extend`` does.  Falsified-literal counters per clause
+    drive the unit test; the counters can lag the assigned set by queued
+    work, so a clause that looks unit may in fact be fully falsified,
+    which is reported as the conflict.
     """
     seed = _mk_assignment(assignment)
     _check_universe(seed, formula)
@@ -145,7 +147,7 @@ def propagate_fixpoint(
     falsified = [0] * len(clauses)
     assigned: set[int] = set(seed)
     steps: list[tuple[int, int]] = []
-    queue: deque[int] = deque(sorted(seed, key=abs))
+    queue = sorted(seed, key=abs)
 
     def outcome(conflict_clause: int | None = None) -> PropagationOutcome:
         return PropagationOutcome(frozenset(assigned), conflict_clause, tuple(steps))
@@ -167,8 +169,7 @@ def propagate_fixpoint(
         if bad is not None:
             return outcome(bad)
 
-    while queue:
-        lit = queue.popleft()
+    for lit in queue:
         for idx in occ.get(-lit, ()):
             falsified[idx] += 1
             clause = clauses[idx]
@@ -196,10 +197,13 @@ def propagate_staged(
     one and every clause that contains the negation of a seed literal; each
     later round scans only the clauses that contain the negation of a
     literal fired in the round before, since no other clause can have
-    changed.  The run stops when a round adds nothing (``saturated``) or
-    after ``max_stages`` recorded rounds.  ``conflict_stage`` is the first
-    round whose accumulated set binds a variable both ways (0 if the
-    formula contains the empty clause), or None; ``conflicted`` tests it.
+    changed.  Each round is recorded once, as a ``StageRecord`` of the
+    literals it fired, each paired with the first clause, in clause
+    order, that fired it.  The run stops when a round adds nothing
+    (``saturated``) or after ``max_stages`` recorded rounds.
+    ``conflict_stage`` is the first round whose accumulated set binds a
+    variable both ways (0 if the formula contains the empty clause), or
+    None; ``conflicted`` tests it.
     """
     if max_stages is not None and max_stages < 0:
         raise ValueError("max_stages must be nonnegative")
@@ -217,8 +221,8 @@ def propagate_staged(
     saturated = False
 
     while max_stages is None or len(stages) < max_stages:
-        new: list[tuple[int, int]] = []
-        new_set: set[int] = set()
+        # each literal fired this round -> the first clause that fired it
+        new: dict[int, int] = {}
         for idx in sorted(touched):
             clause = clauses[idx]
             live = [l for l in clause if -l not in known]
@@ -226,19 +230,17 @@ def propagate_staged(
                 continue
             # one live literal fires alone; a fully falsified clause fires all
             for lit in live or clause:
-                if lit in known or lit in new_set:
-                    continue
-                new_set.add(lit)
-                new.append((lit, idx))
+                if lit not in known:
+                    new.setdefault(lit, idx)
         if not new:
             saturated = True
             break
 
-        known.update(new_set)
-        stages.append(StageRecord(tuple(new)))
-        if conflict_stage is None and any(-lit in known for lit in new_set):
+        known.update(new)
+        stages.append(StageRecord(tuple(new.items())))
+        if conflict_stage is None and any(-lit in known for lit in new):
             conflict_stage = len(stages)
-        touched = {idx for lit in new_set for idx in occ.get(-lit, ())}
+        touched = {idx for lit in new for idx in occ.get(-lit, ())}
 
     return StagedTrace(
         initial=seed,

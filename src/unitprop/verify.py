@@ -32,7 +32,6 @@ from .constraints import (
     MatchingFunction,
     _check_enumeration,
     _consistency_table,
-    _ternary,
     enumerate_partials,
 )
 from .propagate import _extender, propagate_fixpoint, propagate_staged
@@ -66,11 +65,6 @@ class Verdict:
         return self.counterexample is None
 
 
-# Shared verdicts of one assignment that holds and of one outside the
-# domain, so that a sweep allocates none for the assignments that pass.
-_HOLDS = Verdict(1)
-_OUTSIDE = Verdict(0)
-
 _CONFLICT = ("conflict", "no-conflict")
 _INFERRED = ("inferred", "absent")
 _KNOWN = ("present", "absent")
@@ -100,8 +94,15 @@ def sweep(
     """Run ``check`` on each partial assignment in enumeration order,
     summing the ``checked`` counts it returns (0 outside its domain).
     The first failing assignment ends the sweep: its counterexample
-    comes back with the running total."""
-    return _sweep(enumerate_partials(variables, limit), check)
+    comes back with the running total.  ``enumerate_partials`` refuses
+    the variables and ``limit`` before the first check."""
+    total = 0
+    for I in enumerate_partials(variables, limit):
+        verdict = check(I)
+        total += verdict.checked
+        if not verdict.holds:
+            return Verdict(total, verdict.counterexample)
+    return Verdict(total)
 
 
 def _check_sweep(
@@ -115,19 +116,6 @@ def _check_sweep(
     return vs
 
 
-def _sweep(
-    assignments: Iterable[frozenset[int]],
-    check: Callable[[frozenset[int]], Verdict],
-) -> Verdict:
-    total = 0
-    for I in assignments:
-        verdict = check(I)
-        total += verdict.checked
-        if not verdict.holds:
-            return Verdict(total, verdict.counterexample)
-    return Verdict(total)
-
-
 def computes_by_contradiction(
     formula: CnfFormula, fn: MatchingFunction, limit: int | None = None
 ) -> Verdict:
@@ -136,13 +124,13 @@ def computes_by_contradiction(
     outside the formula are refused before the first evaluation."""
     def check(I: frozenset[int]) -> Verdict:
         if not fn.in_domain(I):
-            return _OUTSIDE
+            return Verdict(0)
         expected = bool(fn.evaluate(I))
         if propagate_fixpoint(formula, I).conflicted != expected:
             return _mismatch(I, _CONFLICT, expected)
-        return _HOLDS
+        return Verdict(1)
 
-    return _sweep(_ternary(_check_sweep(formula, fn.variables, limit)), check)
+    return sweep(_check_sweep(formula, fn.variables, limit), check, limit)
 
 
 def computes_by_propagation(
@@ -155,21 +143,21 @@ def computes_by_propagation(
     exactly where the function says yes?  An over-limit sweep, a
     variable of ``fn`` outside the formula and an output literal
     outside it are refused before the first evaluation."""
-    assignments = _ternary(_check_sweep(formula, fn.variables, limit))
+    vs = _check_sweep(formula, fn.variables, limit)
     _check_universe((output_lit,), formula)
 
     def check(I: frozenset[int]) -> Verdict:
         if not fn.in_domain(I):
-            return _OUTSIDE
+            return Verdict(0)
         out = propagate_fixpoint(formula, I)
         if out.conflicted:
             return _mismatch(I, _CONFLICT, False, output_lit)
         expected = bool(fn.evaluate(I))
         if (output_lit in out.final) != expected:
             return _mismatch(I, _INFERRED, expected, output_lit)
-        return _HOLDS
+        return Verdict(1)
 
-    return _sweep(assignments, check)
+    return sweep(vs, check, limit)
 
 
 def is_upi(
@@ -336,7 +324,7 @@ def check_size_bound(output: ReductionOutput) -> Verdict:
         return Verdict(
             1, Counterexample(frozenset(), f"size<={bound:g}", f"size={size}")
         )
-    return _HOLDS
+    return Verdict(1)
 
 
 def contradiction_fn(formula: CnfFormula) -> MatchingFunction:

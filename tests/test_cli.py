@@ -17,6 +17,7 @@ from unitprop import cli
 from unitprop.cli import main
 from unitprop.cnf import CnfFormula, emit_dimacs, parse_dimacs
 from unitprop.constraints import pairwise_at_most_one, split_pair_at_most_one
+from unitprop.reductions import contra_to_prop
 
 EXAMPLE = CnfFormula([(1,), (-1, 2, 3), (-3, -4)], num_vars=4)
 
@@ -165,6 +166,23 @@ class TestReduce:
         assert written.num_vars == 45
         side_digest = hashlib.sha256(side.read_bytes()).hexdigest()
         assert side_digest == PINNED_REDUCTION_DIGESTS["side_map"]
+
+    def test_first_aux_moves_the_numbering(self, example_cnf, tmp_path, capsys):
+        sim = tmp_path / "sim.cnf"
+        argv = ["reduce-c2p", example_cnf, "--first-aux", "50", "-o", str(sim)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "REDUCED clauses=3->65 vars=4->90 output=90 "
+            "counts=injection:8,replication:32,deduction:20,unit:1,collection:4"
+        ]
+        expected = contra_to_prop(EXAMPLE, first_aux=50).formula
+        assert sim.read_text() == emit_dimacs(expected)
+
+    def test_first_aux_inside_the_source_universe_is_refused(self, example_cnf, capsys):
+        assert main(["reduce-c2p", example_cnf, "--first-aux", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: first_aux must exceed the source universe (4)\n"
 
     def test_dimacs_to_stdout_without_output_file(self, example_cnf, capsys):
         assert main(["reduce-c2p", example_cnf]) == 0

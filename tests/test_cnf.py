@@ -69,6 +69,29 @@ class TestAssignment:
         assert assignment([-2, 3, -2]) == frozenset({-2, 3})
 
 
+# a float or a string is refused as range(1.5) refuses it, not truncated
+# (int(2.7) == 2) or parsed (int("3") == 3)
+NOT_AN_INTEGER = "cannot be interpreted as an integer"
+
+
+class TestNonIntegers:
+    @pytest.mark.parametrize("clause", [(1.9, -2.5), ("3",)], ids=["float", "str"])
+    def test_a_clause_literal_is_refused(self, clause):
+        with pytest.raises(TypeError, match=NOT_AN_INTEGER):
+            CnfFormula([clause])
+
+    def test_an_assignment_literal_is_refused(self):
+        with pytest.raises(TypeError, match=NOT_AN_INTEGER):
+            assignment([2.7, -1.2])
+
+    def test_numpy_integers_are_still_literals(self):
+        np = pytest.importorskip("numpy")
+        f = CnfFormula([(np.int64(1), np.int32(-2))])
+        assert f.clauses == ((1, -2),)
+        assert all(type(lit) is int for lit in f.clauses[0])
+        assert assignment([np.int64(-3)]) == frozenset({-3})
+
+
 class TestFormula:
     def test_universe_derived_from_literals(self):
         f = CnfFormula([(1, -3), (2,)])
@@ -169,6 +192,10 @@ class TestDimacs:
         [
             ("p cnf x 1\n", "line 1: bad header 'p cnf x 1'"),
             ("p cnf -1 0\n", "line 1: bad header 'p cnf -1 0'"),
+            # the wrong format, or the wrong number of fields
+            ("p dnf 2 1\n", "line 1: bad header 'p dnf 2 1'"),
+            ("p cnf 2\n", "line 1: bad header 'p cnf 2'"),
+            ("p cnf 2 1 0\n", "line 1: bad header 'p cnf 2 1 0'"),
             ("", "line 1: missing 'p cnf' header"),
         ],
     )

@@ -86,6 +86,11 @@ class TestConstraintKinds:
         with pytest.raises(ValueError, match="distinct positive integers"):
             build()
 
+    def test_a_non_integer_variable_is_refused(self):
+        # 1.5 >= 1 used to pass as a positive integer
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            at_most_k(1, [1.5, 2])
+
 
 class TestFalsifies:
     def test_too_many_trues_bound(self):
@@ -362,6 +367,10 @@ class TestEnumeration:
     def test_bad_variable_lists_refused(self, variables):
         with pytest.raises(ValueError, match="distinct positive integers"):
             enumerate_partials(variables)
+
+    def test_a_non_integer_variable_is_refused(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            enumerate_partials([1.5])
 
 
 # each malformed spec, and the message that refuses it

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import naive_stages, naive_unit_closure
 from unitprop.cnf import CnfFormula, assignment, restrict
-from unitprop.constraints import at_most_k, enumerate_partials
+from unitprop.constraints import at_most_k, enumerate_partials, pairwise_at_most_one
 from unitprop.propagate import (
     _extender,
     infers,
@@ -179,6 +179,11 @@ class TestStaged:
         trace = propagate_staged(restrict(EXAMPLE, EXAMPLE_BINDINGS), max_stages=1)
         assert len(trace.stages) == 1
         assert not trace.saturated
+
+    def test_a_non_integer_seed_is_refused_not_truncated(self):
+        # int(1.2) used to seed literal 1
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            propagate_staged(pairwise_at_most_one([1, 2]), [1.2])
 
     def test_duplicate_candidates_keep_the_lowest_clause(self):
         # both clauses force 2 at stage 1; clause 0 wins the attribution

@@ -147,6 +147,14 @@ class TestComputesByPropagation:
         assert verdict.holds
         assert verdict.checked == 81
 
+    def test_assignments_outside_the_domain_are_not_counted(self):
+        # the 7 of the 27 assignments that falsify AMO3 are outside
+        # arc_fn's domain
+        verdict = computes_by_propagation(
+            pairwise_at_most_one([1, 2, 3]), arc_fn(AMO3, -1), -1
+        )
+        assert verdict == Verdict(20)
+
     def test_an_output_literal_outside_the_formula_is_refused(self):
         # the sweep used to report literal 9 "absent" at v1=1, checked=2
         fn = arc_fn(at_most_k(1, [1, 2]), -2)
@@ -276,6 +284,12 @@ class TestUpac:
         # checked=1 at the empty assignment, literal -1
         with pytest.raises(ValueError, match="distinct positive"):
             is_upac(pairwise_at_most_one([1, 2]), at_most_k(1, [1, 1, 2]))
+
+    def test_a_non_integer_variable_is_refused_not_misjudged(self):
+        # with 1.5 accepted, inside the universe 1..2, the sweep reported
+        # FAILS checked=2 at the assignment {1.5}
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            is_upac(pairwise_at_most_one([1, 2]), at_most_k(1, [1.5, 2]))
 
 
 class TestStageCorrespondence:
