@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .cnf import CnfFormula, DimacsError, assignment, emit_dimacs, parse_dimacs, restrict
+from .cnf import CnfFormula, assignment, emit_dimacs, parse_dimacs, restrict
 from .constraints import parse_constraint
 from .propagate import (
     propagate_fixpoint,
@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (DimacsError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

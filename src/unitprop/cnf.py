@@ -23,6 +23,15 @@ class DimacsError(ValueError):
         self.line = line
 
 
+def _nonnegative(value: int, name: str) -> int:
+    """``value`` as an int, refusing a negative one.  A value that is not
+    an integer gets ``operator.index``'s TypeError."""
+    value = index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return value
+
+
 def canonical_clause(literals: Iterable[int]) -> tuple[int, ...]:
     """Deduplicate a clause, keeping first-occurrence order.
 
@@ -70,16 +79,13 @@ class CnfFormula:
     def __init__(self, clauses: Iterable[Iterable[int]], num_vars: int | None = None):
         canon = tuple(canonical_clause(c) for c in clauses)
         used = max((abs(lit) for c in canon for lit in c), default=0)
-        if num_vars is None:
-            num_vars = used
-        elif num_vars < 0:
-            raise ValueError("num_vars must be nonnegative")
-        elif num_vars < used:
+        num_vars = used if num_vars is None else _nonnegative(num_vars, "num_vars")
+        if num_vars < used:
             raise ValueError(
                 f"num_vars={num_vars} but variable {used} is used"
             )
         object.__setattr__(self, "clauses", canon)
-        object.__setattr__(self, "num_vars", int(num_vars))
+        object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "_hash", hash((self.clauses, self.num_vars)))
 
     def __hash__(self) -> int:
@@ -117,7 +123,7 @@ def _check_variables(vs: tuple[int, ...]) -> None:
 
 def _check_universe(literals: Iterable[int], formula: CnfFormula) -> None:
     for lit in literals:
-        if not 1 <= abs(lit) <= formula.num_vars:
+        if not 1 <= abs(index(lit)) <= formula.num_vars:
             raise ValueError(f"literal {lit} outside universe 1..{formula.num_vars}")
 
 

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import index
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .cnf import (
     CnfFormula,
     _check_variables,
+    _nonnegative,
     assignment as _mk_assignment,
     parse_dimacs,
 )
@@ -55,8 +57,7 @@ class MatchingFunction:
 def at_most_k(k: int, variables: Iterable[int]) -> Constraint:
     """At most ``k`` of the variables are true."""
     vs = tuple(variables)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = _nonnegative(k, "k")
 
     def sat(complete: frozenset[int]) -> bool:
         return sum(1 for v in vs if v in complete) <= k
@@ -102,7 +103,7 @@ def cnf_constraint(formula: CnfFormula) -> Constraint:
 def _check_scope(q: Constraint, literals: Iterable[int]) -> None:
     universe = set(q.variables)
     for lit in literals:
-        if abs(lit) not in universe:
+        if abs(index(lit)) not in universe:
             raise ValueError(f"variable {abs(lit)} is not a variable of {q.label}")
 
 
@@ -194,22 +195,13 @@ def _check_enumeration(
     ``enumerate_partials`` documents."""
     vs = tuple(variables)
     _check_variables(vs)
-    bound = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
-    if bound < 0:
-        raise ValueError("limit must be nonnegative")
+    bound = DEFAULT_ENUMERATION_LIMIT if limit is None else _nonnegative(limit, "limit")
     if len(vs) > bound:
         raise ValueError(
             f"refusing to enumerate 3^{len(vs)} partial assignments "
             f"over {len(vs)} variables (limit {bound})"
         )
     return vs
-
-
-def _ternary(vs: tuple[int, ...]) -> Iterator[frozenset[int]]:
-    """The partial assignments of checked variables in ternary counting
-    order."""
-    digits = ((0, v, -v) for v in reversed(vs))
-    return (frozenset(filter(None, lits)) for lits in itertools.product(*digits))
 
 
 def enumerate_partials(
@@ -222,7 +214,8 @@ def enumerate_partials(
     are not distinct positive integers, a negative ``limit``, and more
     than ``limit`` of them (``DEFAULT_ENUMERATION_LIMIT`` when None).
     """
-    return _ternary(_check_enumeration(variables, limit))
+    digits = ((0, v, -v) for v in reversed(_check_enumeration(variables, limit)))
+    return (frozenset(filter(None, lits)) for lits in itertools.product(*digits))
 
 
 def _refuse(form: str, text: str) -> ValueError:
@@ -239,9 +232,7 @@ def _integer(token: str, form: str, text: str) -> int:
 
 
 def _universe(n: int) -> range:
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
-    return range(1, n + 1)
+    return range(1, _nonnegative(n, "variable count") + 1)
 
 
 def parse_constraint(text: str) -> Constraint:
@@ -282,8 +273,7 @@ def pairwise_at_most_one(variables: Iterable[int]) -> CnfFormula:
 def binomial_at_most_k(variables: Iterable[int], k: int) -> CnfFormula:
     """Forbid every (k+1)-subset from being all true."""
     vs = tuple(variables)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = _nonnegative(k, "k")
     clauses = [
         tuple(-v for v in combo) for combo in itertools.combinations(vs, k + 1)
     ]

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
 
-from .cnf import CnfFormula, _check_universe, assignment as _mk_assignment, restrict
+from .cnf import (
+    CnfFormula,
+    _check_universe,
+    _nonnegative,
+    assignment as _mk_assignment,
+    restrict,
+)
 
 
 @dataclass(frozen=True)
@@ -205,8 +211,8 @@ def propagate_staged(
     variable both ways (0 if the formula contains the empty clause), or
     None; ``conflicted`` tests it.
     """
-    if max_stages is not None and max_stages < 0:
-        raise ValueError("max_stages must be nonnegative")
+    if max_stages is not None:
+        max_stages = _nonnegative(max_stages, "max_stages")
     seed = _mk_assignment(assignment)
     _check_universe(seed, formula)
     clauses = formula.clauses
@@ -256,8 +262,7 @@ def stage_assignment(trace: StagedTrace, stage: int) -> frozenset[int]:
     Stages past the end of the trace return the last recorded state, which
     is the fixpoint whenever the trace saturated.
     """
-    if stage < 0:
-        raise ValueError("stage must be nonnegative")
+    stage = _nonnegative(stage, "stage")
     known = set(trace.initial)
     for rec in trace.stages[:stage]:
         known.update(lit for lit, _ in rec.inferred)

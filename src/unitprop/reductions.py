@@ -37,6 +37,7 @@ every forced literal.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from operator import index
 from typing import Iterable
 
 from .cnf import CnfFormula, _check_universe, _check_variables, restrict
@@ -60,6 +61,8 @@ class SimulationMap:
     def aux(self, lit: int, level: int) -> int:
         """x(lit, level); refuses a literal outside ±1..n or a level outside 1..n+1."""
         n = self.source_num_vars
+        lit = index(lit)
+        level = index(level)
         v = abs(lit)
         if not (0 < v <= n and 0 < level <= n + 1):
             raise ValueError(f"no ladder variable x({lit}, {level}) over 1..{n}")

@@ -84,12 +84,24 @@ class TestNonIntegers:
         with pytest.raises(TypeError, match=NOT_AN_INTEGER):
             assignment([2.7, -1.2])
 
+    @pytest.mark.parametrize("num_vars", [2.7, "3"], ids=["float", "str"])
+    def test_a_declared_universe_is_refused(self, num_vars):
+        # 2.7 was truncated to 2, and "3" failed a comparison instead
+        with pytest.raises(TypeError, match=NOT_AN_INTEGER):
+            CnfFormula([(1,)], num_vars=num_vars)
+
     def test_numpy_integers_are_still_literals(self):
         np = pytest.importorskip("numpy")
         f = CnfFormula([(np.int64(1), np.int32(-2))])
         assert f.clauses == ((1, -2),)
         assert all(type(lit) is int for lit in f.clauses[0])
         assert assignment([np.int64(-3)]) == frozenset({-3})
+
+    def test_a_numpy_integer_is_still_a_declared_universe(self):
+        np = pytest.importorskip("numpy")
+        f = CnfFormula([(1,)], num_vars=np.int64(3))
+        assert f.num_vars == 3 and type(f.num_vars) is int
+        assert f == CnfFormula([(1,)], num_vars=3)
 
 
 class TestFormula:
@@ -107,7 +119,7 @@ class TestFormula:
             CnfFormula([(1, -3)], num_vars=2)
 
     def test_declared_universe_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="num_vars must be nonnegative"):
+        with pytest.raises(ValueError, match="^num_vars must be nonnegative$"):
             CnfFormula([], num_vars=-1)
 
     def test_size_counts_literals(self):

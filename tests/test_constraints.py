@@ -47,7 +47,7 @@ class TestConstraintKinds:
         assert not q.sat(frozenset({1, -2}))
 
     def test_negative_k_refused(self):
-        with pytest.raises(ValueError, match="k must be nonnegative"):
+        with pytest.raises(ValueError, match="^k must be nonnegative$"):
             at_most_k(-1, [1, 2])
 
     def test_truth_table_bit_order(self):
@@ -90,6 +90,11 @@ class TestConstraintKinds:
         # 1.5 >= 1 used to pass as a positive integer
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             at_most_k(1, [1.5, 2])
+
+    def test_a_non_integer_k_is_refused(self):
+        # the label used to read "atmost 1.5 of 2"
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            at_most_k(1.5, [1, 2])
 
 
 class TestFalsifies:
@@ -265,6 +270,11 @@ class TestMatchingFunctions:
         ):
             arc_fn(at_most_k(1, [1, 2]), 3)
 
+    def test_arc_non_integer_literal_rejected(self):
+        # 1.0 used to pass as variable 1
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            arc_fn(at_most_k(1, [1, 2]), 1.0)
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -372,6 +382,17 @@ class TestEnumeration:
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             enumerate_partials([1.5])
 
+    def test_a_non_integer_limit_is_refused(self):
+        # 2 variables under a limit of 2.5 used to be enumerated
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            enumerate_partials([1, 2], limit=2.5)
+
+    def test_a_numpy_integer_is_still_a_limit(self):
+        np = pytest.importorskip("numpy")
+        assert len(list(enumerate_partials([1, 2], limit=np.int64(2)))) == 9
+        with pytest.raises(ValueError, match="limit 1"):
+            enumerate_partials([1, 2], limit=np.int64(1))
+
 
 # each malformed spec, and the message that refuses it
 MALFORMED_SPECS = {
@@ -412,7 +433,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("text", ["atmost 1 of -3", "table -3 1"])
     def test_negative_variable_counts_rejected(self, text):
-        with pytest.raises(ValueError, match="variable count must be nonnegative"):
+        with pytest.raises(ValueError, match="^variable count must be nonnegative$"):
             parse_constraint(text)
 
 
@@ -436,7 +457,7 @@ class TestEncodings:
         )
 
     def test_binomial_refuses_negative_k(self):
-        with pytest.raises(ValueError, match="k must be nonnegative"):
+        with pytest.raises(ValueError, match="^k must be nonnegative$"):
             binomial_at_most_k([1, 2], -1)
 
     def test_split_pair_adds_one_selector_per_pair(self):

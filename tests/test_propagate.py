@@ -172,7 +172,7 @@ class TestStaged:
         assert not trace.conflicted
 
     def test_negative_max_stages_refused(self):
-        with pytest.raises(ValueError, match="max_stages must be nonnegative"):
+        with pytest.raises(ValueError, match="^max_stages must be nonnegative$"):
             propagate_staged(CnfFormula([(1,)]), max_stages=-1)
 
     def test_max_stages_truncates(self):
@@ -184,6 +184,11 @@ class TestStaged:
         # int(1.2) used to seed literal 1
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             propagate_staged(pairwise_at_most_one([1, 2]), [1.2])
+
+    def test_a_non_integer_max_stages_is_refused(self):
+        # 1.5 used to run as a cap between one and two rounds
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            propagate_staged(pairwise_at_most_one([1, 2]), [1], max_stages=1.5)
 
     def test_duplicate_candidates_keep_the_lowest_clause(self):
         # both clauses force 2 at stage 1; clause 0 wins the attribution
@@ -209,8 +214,14 @@ class TestStageAssignment:
 
     def test_negative_stage_rejected(self):
         trace = propagate_staged(CnfFormula([(1,)]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^stage must be nonnegative$"):
             stage_assignment(trace, -1)
+
+    def test_a_non_integer_stage_is_refused(self):
+        # 1.5 used to reach the slice, which refused it in its own words
+        trace = propagate_staged(CnfFormula([(1,)]))
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            stage_assignment(trace, 1.5)
 
 
 class TestInfers:
@@ -230,6 +241,11 @@ class TestInfers:
         f = CnfFormula([(1,), (-1, 2)], num_vars=2)
         with pytest.raises(ValueError, match=f"literal {literal} outside universe 1..2"):
             infers(f, (), literal)
+
+    def test_a_non_integer_literal_is_refused(self):
+        # 1.5 lies between 1 and num_vars, and the answer used to be "no"
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            infers(pairwise_at_most_one([1, 2]), [1], 1.5)
 
 
 class TestRendering:

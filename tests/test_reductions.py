@@ -233,6 +233,19 @@ class TestSimulationMap:
             with pytest.raises(ValueError, match="no ladder variable"):
                 m.aux(lit, level)
 
+    @pytest.mark.parametrize("lit, level", [(1, 1.5), (1.0, 1)], ids=["level", "lit"])
+    def test_a_non_integer_is_refused(self, lit, level):
+        # x(1, 1.5) used to be id 3.5, and x(1.0, 1) id 3.0
+        m = contra_to_prop(CnfFormula([(-1, -2)])).map
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            m.aux(lit, level)
+
+    def test_numpy_integers_are_still_a_literal_and_a_level(self):
+        np = pytest.importorskip("numpy")
+        m = contra_to_prop(CnfFormula([(-1, -2)])).map
+        var = m.aux(np.int64(-1), np.int32(2))
+        assert var == m.aux(-1, 2) and type(var) is int
+
 
 class TestCompose:
     def test_block_layout_for_pairwise_at_most_one(self):

@@ -42,3 +42,20 @@ def test_only_propagate_names_the_clause_index():
                 named.add((path.name, node.name))
     assert {name for name in named if name[0] != "propagate.py"} == set()
     assert ("propagate.py", "_index") in named
+
+
+def test_only_cnf_nonnegative_words_the_nonnegative_refusal():
+    # every count, limit and stage is refused through one helper, so the
+    # message is written once, in it
+    phrase = "must be nonnegative"
+    found = {
+        path.name: path.read_text().count(phrase) for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: n for name, n in found.items() if n} == {"cnf.py": 1}
+    text = (SRC / "cnf.py").read_text()
+    helper = next(
+        node
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef) and node.name == "_nonnegative"
+    )
+    assert phrase in ast.get_source_segment(text, helper)

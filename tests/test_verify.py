@@ -161,6 +161,12 @@ class TestComputesByPropagation:
         with pytest.raises(ValueError, match=r"literal 9 outside universe 1\.\.2"):
             computes_by_propagation(pairwise_at_most_one([1, 2]), fn, 9)
 
+    def test_a_non_integer_output_literal_is_refused(self):
+        # the sweep used to report literal 1.5 "absent" at {1}, checked=2
+        fn = arc_fn(at_most_k(1, [1, 2]), -2)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            computes_by_propagation(pairwise_at_most_one([1, 2]), fn, 1.5)
+
 
 class TestUpi:
     def test_pairwise_holds(self):
@@ -290,6 +296,11 @@ class TestUpac:
         # FAILS checked=2 at the assignment {1.5}
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             is_upac(pairwise_at_most_one([1, 2]), at_most_k(1, [1.5, 2]))
+
+    def test_a_non_integer_limit_is_refused_not_misjudged(self):
+        # with limit 2.5 accepted, the sweep reported HOLDS checked=9
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            is_upac(pairwise_at_most_one([1, 2]), at_most_k(1, [1, 2]), limit=2.5)
 
 
 class TestStageCorrespondence:
