@@ -15,7 +15,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .cnf import CnfFormula, assignment, emit_dimacs, parse_dimacs, restrict
-from .constraints import parse_constraint
+from .constraints import enumerate_partials, parse_constraint
 from .propagate import (
     propagate_fixpoint,
     propagate_staged,
@@ -153,12 +153,9 @@ def _cmd_verify_hm(args: argparse.Namespace) -> int:
         raise ValueError("--limit requires --all")
     formula = _read_formula(args.cnf)
     if args.all:
+        partials = enumerate_partials(formula.variables, args.limit)
         reduction = contra_to_prop(formula)
-        verdict = sweep(
-            formula.variables,
-            lambda I: check_stage_correspondence(formula, I, reduction),
-            args.limit,
-        )
+        verdict = sweep(partials, lambda I: check_stage_correspondence(formula, I, reduction))
     else:
         verdict = check_stage_correspondence(formula, _parse_assign(args.assign))
     print(render_verdict(verdict))

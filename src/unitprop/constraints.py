@@ -56,8 +56,8 @@ class MatchingFunction:
 
 def at_most_k(k: int, variables: Iterable[int]) -> Constraint:
     """At most ``k`` of the variables are true."""
-    vs = tuple(variables)
     k = _nonnegative(k, "k")
+    vs = tuple(variables)
 
     def sat(complete: frozenset[int]) -> bool:
         return sum(1 for v in vs if v in complete) <= k
@@ -75,7 +75,7 @@ def truth_table(variables: Iterable[int], bits: str) -> Constraint:
     vs = tuple(variables)
     if len(bits) != 2 ** len(vs):
         raise ValueError(
-            f"table for {len(vs)} variables needs {2 ** len(vs)} bits, got {len(bits)}"
+            f"table for {len(vs)} variables needs 2^{len(vs)} bits, got {len(bits)}"
         )
     if set(bits) - {"0", "1"}:
         raise ValueError("table bits must be 0 or 1")
@@ -272,8 +272,8 @@ def pairwise_at_most_one(variables: Iterable[int]) -> CnfFormula:
 
 def binomial_at_most_k(variables: Iterable[int], k: int) -> CnfFormula:
     """Forbid every (k+1)-subset from being all true."""
-    vs = tuple(variables)
     k = _nonnegative(k, "k")
+    vs = tuple(variables)
     clauses = [
         tuple(-v for v in combo) for combo in itertools.combinations(vs, k + 1)
     ]

@@ -87,17 +87,17 @@ def _mismatch(
 
 
 def sweep(
-    variables: Iterable[int],
+    assignments: Iterable[frozenset[int]],
     check: Callable[[frozenset[int]], Verdict],
-    limit: int | None = None,
 ) -> Verdict:
-    """Run ``check`` on each partial assignment in enumeration order,
-    summing the ``checked`` counts it returns (0 outside its domain).
-    The first failing assignment ends the sweep: its counterexample
-    comes back with the running total.  ``enumerate_partials`` refuses
-    the variables and ``limit`` before the first check."""
+    """Run ``check`` on each of the assignments in turn, summing the
+    ``checked`` counts it returns (0 outside its domain).  The first
+    failing assignment ends the sweep: its counterexample comes back
+    with the running total.  The sweep refuses nothing: a caller builds
+    its assignments with ``enumerate_partials``, which refuses the
+    variables and the limit when it is called, before anything else."""
     total = 0
-    for I in enumerate_partials(variables, limit):
+    for I in assignments:
         verdict = check(I)
         total += verdict.checked
         if not verdict.holds:
@@ -130,7 +130,8 @@ def computes_by_contradiction(
             return _mismatch(I, _CONFLICT, expected)
         return Verdict(1)
 
-    return sweep(_check_sweep(formula, fn.variables, limit), check, limit)
+    vs = _check_sweep(formula, fn.variables, limit)
+    return sweep(enumerate_partials(vs, limit), check)
 
 
 def computes_by_propagation(
@@ -157,7 +158,7 @@ def computes_by_propagation(
             return _mismatch(I, _INFERRED, expected, output_lit)
         return Verdict(1)
 
-    return sweep(vs, check, limit)
+    return sweep(enumerate_partials(vs, limit), check)
 
 
 def is_upi(
@@ -264,8 +265,10 @@ def check_stage_correspondence(
     source side.  Holds iff for every round m in 1..n+1 and every source
     literal w: x(w,m) is known after round m iff w is known after
     round m.  Each side keeps one known set, which takes in round m's
-    inferences just before level m is compared.
+    inferences just before level m is compared.  The assignment is
+    refused before the simulation is built or its universe checked.
     """
+    restricted = restrict(source, assn)
     red = reduction if reduction is not None else contra_to_prop(source)
     n = red.map.source_num_vars
     if n != source.num_vars:
@@ -273,10 +276,9 @@ def check_stage_correspondence(
             f"reduction covers variables 1..{n}, source has 1..{source.num_vars}"
         )
     levels = n + 1
-    t_source = propagate_staged(restrict(source, assn))
+    t_source = propagate_staged(restricted)
     t_sim = propagate_staged(red.formula, assignment=assn, max_stages=levels)
-    assn = frozenset(assn)
-    known_source = set(t_source.initial)
+    known_source: set[int] = set()
     known_sim = set(t_sim.initial)
     checked = 0
     for m in range(1, levels + 1):
@@ -289,7 +291,7 @@ def check_stage_correspondence(
                 on_source = lit in known_source
                 on_sim = red.map.aux(lit, m) in known_sim
                 if on_source != on_sim:
-                    return _mismatch(assn, _KNOWN, on_source, lit, checked, m)
+                    return _mismatch(t_sim.initial, _KNOWN, on_source, lit, checked, m)
     return Verdict(checked)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from test_reductions import PINNED_REDUCTION_DIGESTS
-from unitprop import cli
+from unitprop import cli, verify
 from unitprop.cli import main
 from unitprop.cnf import CnfFormula, emit_dimacs, parse_dimacs
 from unitprop.constraints import pairwise_at_most_one, split_pair_at_most_one
@@ -346,6 +346,30 @@ class TestErrors:
         path.write_text("p cnf 13 1\n1 2 0\n")
         assert main(["verify-hm", str(path), "--all"]) == 2
         assert "refusing to enumerate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--all", "--limit", "1"], "refusing to enumerate 3^2 partial "
+             "assignments over 2 variables (limit 1)"),
+            (["--assign", "99"], "literal 99 outside universe 1..2"),
+        ],
+        ids=["all", "assign"],
+    )
+    def test_verify_hm_refuses_before_it_builds_the_simulation(
+        self, tmp_path, capsys, monkeypatch, options, message
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the simulation was built before the refusal")
+
+        monkeypatch.setattr(cli, "contra_to_prop", no_simulation)
+        monkeypatch.setattr(verify, "contra_to_prop", no_simulation)
+        path = tmp_path / "two.cnf"
+        path.write_text("p cnf 2 1\n1 2 0\n")
+        assert main(["verify-hm", str(path), *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_negative_limit(self, amo_cnf, capsys):
         command = ["verify-upac", amo_cnf, "--constraint", "atmost 1 of 3"]

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +50,32 @@ class TestConstraintKinds:
     def test_negative_k_refused(self):
         with pytest.raises(ValueError, match="^k must be nonnegative$"):
             at_most_k(-1, [1, 2])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: parse_constraint("atmost -1 of 2000000"),
+            lambda: binomial_at_most_k(range(1, 2_000_001), -1),
+        ],
+        ids=["atmost", "binomial"],
+    )
+    def test_negative_k_is_refused_before_the_variables_are_built(self, build):
+        # 2,000,000 variables take about 80 MB as a tuple; k refuses first
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^k must be nonnegative$"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [2, 15000])
+    def test_a_table_size_is_worded_as_a_power(self, n):
+        # 2 ** 15000 has too many digits for Python to print in decimal
+        message = rf"^table for {n} variables needs 2\^{n} bits, got 2$"
+        with pytest.raises(ValueError, match=message):
+            parse_constraint(f"table {n} 01")
 
     def test_truth_table_bit_order(self):
         # bit index = sum of 2^(i) over true variables, variables[0] least

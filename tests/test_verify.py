@@ -332,13 +332,24 @@ class TestStageCorrespondence:
         with pytest.raises(ValueError, match=r"1\.\.1, source has 1\.\.2"):
             check_stage_correspondence(source, part, reduction=narrow)
 
+    @pytest.mark.parametrize("given", [False, True], ids=["built", "given"])
+    def test_the_assignment_is_refused_before_the_simulation(self, monkeypatch, given):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the simulation was built before the refusal")
+
+        # a given reduction over another universe is checked after the assignment
+        narrow = contra_to_prop(CnfFormula([(1,)], num_vars=1)) if given else None
+        monkeypatch.setattr(verify, "contra_to_prop", no_simulation)
+        with pytest.raises(ValueError, match=r"^literal 99 outside universe 1\.\.4$"):
+            check_stage_correspondence(EXAMPLE, (99,), reduction=narrow)
+
 
 class TestSweep:
     def test_sums_checks_up_to_the_first_failure(self):
         source = CnfFormula([(1, 2)], num_vars=2)
         wrong = contra_to_prop(CnfFormula([(-1, 2)], num_vars=2))
         verdict = sweep(
-            source.variables,
+            enumerate_partials(source.variables),
             lambda I: check_stage_correspondence(source, I, reduction=wrong),
         )
         # {} holds over all 12 stage pairs; {1} fails at its 7th pair
@@ -350,10 +361,6 @@ class TestSweep:
             "  expected: absent\n"
             "  observed: present"
         )
-
-    def test_a_repeated_variable_is_refused(self):
-        with pytest.raises(ValueError, match="distinct positive integers"):
-            sweep([2, 2], lambda I: Verdict(1))
 
     def test_a_sweep_indexes_its_formula_once(self):
         comp = compose_upac(pairwise_at_most_one([1, 2, 3]))
@@ -370,7 +377,7 @@ class TestSweep:
 
         before = live_formulas()
         verdict = sweep(
-            EXAMPLE.variables,
+            enumerate_partials(EXAMPLE.variables),
             lambda I: check_stage_correspondence(EXAMPLE, I, reduction=reduction),
         )
         assert verdict.holds and verdict.checked == 81 * 40
